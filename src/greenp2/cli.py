@@ -26,7 +26,14 @@ from .mapfile import dump_map_json, read_map
 from .maps import ProjPoint
 from .multiplicities import orbit_report
 from .polys import parse_poly
-from .potentials import equidist_distance, green, kiselman_estimate, lelong_estimate, volume_decay
+from .potentials import (
+    _chart_lift,
+    equidist_distance,
+    green,
+    kiselman_estimate,
+    lelong_estimate,
+    volume_decay,
+)
 from .sampling import fs_points
 
 CHART_INDEX = {"z": 0, "w": 1, "t": 2}
@@ -72,7 +79,6 @@ def build_parser():
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--csv", default=None, help="write the report series as CSV")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (env GREENP2_DEFAULT_SEED)")
-        p.add_argument("--threads", type=int, default=1, help="shard cap; wall time only")
         if samples is not None:
             p.add_argument("--samples", type=int, default=samples)
         if n is not None:
@@ -300,13 +306,7 @@ def _jacobian_chart_potential(f, chart):
     scale = max(J.coeff_norm, 1e-300)
 
     def u(pts):
-        n = pts.shape[0]
-        X = np.zeros((n, 3), dtype=complex)
-        keep = [i for i in range(3) if i != chart]
-        X[:, keep[0]] = pts[:, 0]
-        X[:, keep[1]] = pts[:, 1]
-        X[:, chart] = 1.0
-        return np.log(np.abs(J.eval_batch(X)) / scale + 1e-300)
+        return np.log(np.abs(J.eval_batch(_chart_lift(pts, chart))) / scale + 1e-300)
 
     return u
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConstructionDegenerate, GenerationFailed
 from .maps import ProjMap
 from .polys import HomogPoly3, monomial_exponents, n_monomials
+from .series import _sylvester_dets
 
 CONFIGURATION_IDS = (
     "1-0",
@@ -116,12 +117,6 @@ def _build_row(row_id, d, rng):
     raise AssertionError(row_id)
 
 
-def configuration_label(row_id: str) -> str:
-    from .invariant_sets import _ROW_LABELS
-
-    return _ROW_LABELS[row_id]
-
-
 # -- Lattes quotient map -------------------------------------------------------------
 
 
@@ -154,12 +149,14 @@ def lattes_map(d: int = 2) -> ProjMap:
     abc = rng.standard_normal((n_samples, 3)) + 1j * rng.standard_normal((n_samples, 3))
     abc /= np.linalg.norm(abc, axis=1)[:, None]
 
+    # graph forms V*num(X) - U*den(X) (affine Y=1, ascending in X) at
+    # (U, V) = (1, 0), (0, 1), (1, 1); each image coefficient comes from the
+    # formal resultant in X of aX^2+bX+c against them
+    graphs = [(V * num[::-1] - U * den[::-1])[None, :] for U, V in ((1, 0), (0, 1), (1, 1))]
     vals = np.zeros((n_samples, 3), dtype=complex)
     for s in range(n_samples):
-        a, b, c = abc[s]
-        d10 = _graph_resultant(a, b, c, num, den, 1.0, 0.0)
-        d01 = _graph_resultant(a, b, c, num, den, 0.0, 1.0)
-        d11 = _graph_resultant(a, b, c, num, den, 1.0, 1.0)
+        q = abc[s, ::-1][None, :]  # c + bX + aX^2
+        d10, d01, d11 = (_sylvester_dets(q, g, [0.0])[0] for g in graphs)
         vals[s] = (d10, d11 - d10 - d01, d01)  # coefficients of U^2, UV, V^2
 
     exps = monomial_exponents(d)
@@ -182,20 +179,6 @@ def lattes_map(d: int = 2) -> ProjMap:
     if any(p.coeff_norm == 0 for p in comps):
         raise ConstructionDegenerate("a quotient component vanished")
     return ProjMap.validate(tuple(comps))
-
-
-def _graph_resultant(a, b, c, num, den, U, V):
-    """Formal resultant in X of aX^2+bX+c and V*num(X) - U*den(X) (affine Y=1)."""
-    dd = len(num) - 1
-    q = np.array([c, b, a], dtype=complex)  # ascending
-    g = V * num[::-1] - U * den[::-1]  # ascending in X
-    size = 2 + dd
-    M = np.zeros((size, size), dtype=complex)
-    for r in range(dd):
-        M[r, r : r + 3] = q[::-1]
-    for r in range(2):
-        M[dd + r, r : r + dd + 1] = g[::-1]
-    return np.linalg.det(M)
 
 
 def lattes_root_pair_image(d: int, z1: complex, z2: complex):

@@ -22,13 +22,16 @@ from .errors import (
     NonIntegerOrder,
     NotSuperattracting,
 )
-from .maps import ProjMap, ProjPoint
+from .maps import ProjMap, ProjPoint, _unit_phase
 from .multiplicities import contraction_order, jacobian_multiplicity
 from .polys import HomogPoly3, monomial_exponents
-from .roots import roots_univariate
+from .potentials import _slope_fit
+from .roots import roots_univariate, strip_trailing
 
 LINE_TOL = 1e-7
 _SEED_LINES = 715225741
+#: random Gauss-Newton starts per normalisation chart
+_LINE_STARTS = 200
 
 
 # -- totally invariant lines ------------------------------------------------------
@@ -65,20 +68,12 @@ class InvariantLine:
 
 
 def _canonical_coeffs(v):
-    v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
-    top = np.max(np.abs(v))
-    for c in v:
-        if abs(c) > 1e-3 * top:
-            v = v * (c.conjugate() / abs(c))
-            break
+    v = _unit_phase(np.asarray(v, dtype=complex))
     v[np.abs(v) < 1e-12] = 0.0
     return v
 
 
-def invariant_lines(
-    f: ProjMap, starts: int = 200, line_tol: float = LINE_TOL, seed: int = _SEED_LINES
-):
+def invariant_lines(f: ProjMap):
     """All lines with l o F = lambda l^d, by batched multistart Gauss-Newton."""
     d = f.degree
     exps = monomial_exponents(d)
@@ -89,7 +84,7 @@ def invariant_lines(
     )
     comp_mat = np.stack([p.coeffs for p in f.components], axis=1)  # (M, 3)
     scale = max(1.0, max(p.coeff_norm for p in f.components))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED_LINES)
 
     found = []
     for norm_chart in range(3):
@@ -102,14 +97,15 @@ def invariant_lines(
             np.array([0.0, 1.0, -1.0]),
         ]
         seeds = [s for s in seeds if abs(s[norm_chart]) > 0.5]
-        rand = rng.standard_normal((starts, 3)) + 1j * rng.standard_normal((starts, 3))
+        shape = (_LINE_STARTS, 3)
+        rand = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ell = np.concatenate([np.array(seeds, dtype=complex), rand], axis=0)
         ell = ell / ell[:, norm_chart][:, None]
         lam = _lsq_lambda(ell, comp_mat, multi, exps)
         ell, lam = _gauss_newton_lines(ell, lam, comp_mat, multi, exps, free, d)
         res = _line_residual(ell, lam, comp_mat, multi, exps)
         for b in range(ell.shape[0]):
-            if not np.isfinite(res[b]) or res[b] > line_tol * scale:
+            if not np.isfinite(res[b]) or res[b] > LINE_TOL * scale:
                 continue
             coeffs = _canonical_coeffs(ell[b])
             form = HomogPoly3(1, coeffs)
@@ -117,7 +113,7 @@ def invariant_lines(
             resid = float(
                 _line_residual(coeffs[None, :], np.array([lam_b]), comp_mat, multi, exps)[0]
             ) / scale
-            if resid > line_tol:
+            if resid > LINE_TOL:
                 continue
             for other in found:
                 if np.linalg.norm(other.form.coeffs - coeffs) < 1e-5:
@@ -245,16 +241,7 @@ def line_restriction(f: ProjMap, line: InvariantLine) -> LineRestriction:
 
 
 def _p1_normalize(pair):
-    v = np.array(pair, dtype=complex)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("zero representative on the line")
-    v = v / n
-    top = np.max(np.abs(v))
-    for c in v:
-        if abs(c) > 1e-3 * top:
-            v = v * (c.conjugate() / abs(c))
-            break
+    v = _unit_phase(np.array(pair, dtype=complex))
     return (complex(v[0]), complex(v[1]))
 
 
@@ -277,7 +264,7 @@ def _p1_preimages(rest: LineRestriction, q):
 
 def _binary_roots(co, formal_degree):
     """Roots of a binary form with multiplicities, including [0:1] on degree drop."""
-    stripped = _strip(co)
+    stripped = strip_trailing(co)
     out = []
     if len(stripped) >= 2:
         rr = roots_univariate(stripped)
@@ -286,13 +273,6 @@ def _binary_roots(co, formal_degree):
     if drop > 0:
         out.append((_p1_normalize((0.0, 1.0)), drop))
     return out
-
-
-def _strip(co, rel=1e-9):
-    c = np.asarray(co)
-    top = np.max(np.abs(c))
-    keep = np.nonzero(np.abs(c) > rel * top)[0]
-    return c[: keep[-1] + 1]
 
 
 def _p1_iterate_forms(rest: LineRestriction, k: int):
@@ -609,13 +589,6 @@ def _arc_vanishing_order(pulled: HomogPoly3, x: ProjPoint, v, s_grid=None) -> in
     return int(order)
 
 
-def _slope_fit(x, y):
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.sqrt(np.mean((y - A @ sol) ** 2)))
-    return float(sol[0]), resid
-
-
 def _perron(t: np.ndarray, tol=1e-12, max_iter=200000):
     """Spectral radius and non-negative eigenvector of t^T by power iteration.
 
@@ -653,12 +626,12 @@ class ExceptionalSets:
     line_order_checks: list = field(default_factory=list)
 
 
-def exceptional_sets(f: ProjMap, horizon: int = 3, line_starts: int = 200) -> ExceptionalSets:
+def exceptional_sets(f: ProjMap, horizon: int = 3) -> ExceptionalSets:
     """The totally invariant lines and the finite superattracting exceptional points."""
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
     d = f.degree
-    lines = invariant_lines(f, starts=line_starts)
+    lines = invariant_lines(f)
 
     checks = []
     for line in lines:

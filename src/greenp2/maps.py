@@ -17,6 +17,7 @@ from .errors import (
 )
 from .polys import HomogPoly3, compose_map, jacobian_det
 from .roots import CLUSTER_RADIUS
+from .sampling import fs_points
 from .systems import solve_affine_system
 
 #: deterministic seed for sphere-sample certificates attached to a map
@@ -25,11 +26,26 @@ _CERT_SEED = 20240801
 #: chart visiting order for fiber solves (t first: the common case)
 CHART_ORDER = (2, 0, 1)
 
+#: sphere samples and safety factor of the sup-sphere log-norm estimate
+_LOGNORM_SAMPLES = 10**4
+_LOGNORM_SAFETY = 1.5
 
-def _unit_sphere_samples(n, seed=_CERT_SEED):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1)[:, None]
+
+def _unit_phase(v):
+    """Unit-norm copy of the vector v with a canonical phase.
+
+    The first non-negligible coordinate is made real positive; the threshold
+    is relative so solver noise cannot grab the pivot.
+    """
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise ValueError("projective point needs a nonzero representative")
+    v = v / norm
+    top = np.max(np.abs(v))
+    for c in v:
+        if abs(c) > 1e-3 * top:
+            return v * (c.conjugate() / abs(c))
+    return v
 
 
 class ProjPoint:
@@ -39,18 +55,9 @@ class ProjPoint:
 
     def __init__(self, coords):
         v = np.asarray(coords, dtype=complex).reshape(3)
-        norm = np.linalg.norm(v)
-        if norm == 0 or not np.all(np.isfinite(v)):
-            raise ValueError("projective point needs a nonzero finite representative")
-        v = v / norm
-        # canonical phase: first non-negligible coordinate made real positive
-        # (threshold is relative so solver noise cannot grab the pivot)
-        top = np.max(np.abs(v))
-        for c in v:
-            if abs(c) > 1e-3 * top:
-                v = v * (c.conjugate() / abs(c))
-                break
-        self.coords = v
+        if not np.all(np.isfinite(v)):
+            raise ValueError("projective point needs a finite representative")
+        self.coords = _unit_phase(v)
 
     @classmethod
     def from_chart(cls, chart, pair):
@@ -138,7 +145,7 @@ class ProjMap:
         witness = _common_zero(comps)
         if witness is not None:
             raise DegenerateMap(f"components vanish simultaneously at {witness}", point=witness)
-        pts = _unit_sphere_samples(sphere_samples)
+        pts = fs_points(sphere_samples, _CERT_SEED)
         vals = np.stack([p.eval_batch(pts) for p in comps], axis=1)
         residual = float(np.min(np.linalg.norm(vals, axis=1)))
         if residual <= 0.0:
@@ -198,12 +205,12 @@ class ProjMap:
             self._iterates[n] = compose_map(prev, self.components)
         return self._iterates[n]
 
-    def lognorm_sup(self, samples: int = 10**4, safety: float = 1.5) -> float:
+    def lognorm_sup(self) -> float:
         """Safety-padded sup-sphere estimate of |log ||F|| | on unit vectors."""
         if self._lognorm_sup is None:
-            pts = _unit_sphere_samples(samples)
+            pts = fs_points(_LOGNORM_SAMPLES, _CERT_SEED)
             norms = np.linalg.norm(self.lift(pts), axis=1)
-            self._lognorm_sup = float(np.max(np.abs(np.log(norms)))) * safety
+            self._lognorm_sup = float(np.max(np.abs(np.log(norms)))) * _LOGNORM_SAFETY
         return self._lognorm_sup
 
     def __repr__(self):

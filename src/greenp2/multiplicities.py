@@ -49,6 +49,17 @@ def _trunc_schedule(d: int, n: int):
         trunc = min(2 * trunc, cap)
 
 
+def _escalate(f: ProjMap, p: ProjPoint, n: int, what: str, attempt):
+    """attempt(trunc) at growing truncations until one has enough terms."""
+    last = None
+    for trunc in _trunc_schedule(f.degree, n):
+        try:
+            return attempt(trunc)
+        except OrderExceedsTruncation as exc:
+            last = exc
+    raise OrderExceedsTruncation(f"{what} at {p} exceeds truncation cap: {last}")
+
+
 def orbit_chart_series(f: ProjMap, p: ProjPoint, n: int, trunc: int, chart_override=None):
     """Taylor series at p of the chart representations of f^j for j = 0..n.
 
@@ -113,28 +124,24 @@ def jacobian_multiplicity(f: ProjMap, p: ProjPoint, n: int, chart_override=None)
     """Vanishing order of the Jacobian of the n-th iterate at p."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    last = None
-    for trunc in _trunc_schedule(f.degree, n):
-        try:
-            _, charts, series = orbit_chart_series(f, p, n - 1, trunc, chart_override)
-            return sum(_jacobian_term(f, series[j], charts[j]) for j in range(n))
-        except OrderExceedsTruncation as exc:
-            last = exc
-    raise OrderExceedsTruncation(f"jacobian order at {p} exceeds truncation cap: {last}")
+
+    def attempt(trunc):
+        _, charts, series = orbit_chart_series(f, p, n - 1, trunc, chart_override)
+        return sum(_jacobian_term(f, series[j], charts[j]) for j in range(n))
+
+    return _escalate(f, p, n, "jacobian order", attempt)
 
 
 def contraction_order(f: ProjMap, p: ProjPoint, n: int, chart_override=None) -> int:
     """Lowest Taylor degree of the n-th iterate at p (min over components)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    last = None
-    for trunc in _trunc_schedule(f.degree, n):
-        try:
-            _, _, series = orbit_chart_series(f, p, n, trunc, chart_override)
-            return _pair_contraction(series[n])
-        except OrderExceedsTruncation as exc:
-            last = exc
-    raise OrderExceedsTruncation(f"contraction order at {p} exceeds truncation cap: {last}")
+
+    def attempt(trunc):
+        _, _, series = orbit_chart_series(f, p, n, trunc, chart_override)
+        return _pair_contraction(series[n])
+
+    return _escalate(f, p, n, "contraction order", attempt)
 
 
 def _pair_contraction(pair) -> int:
@@ -332,13 +339,10 @@ def jacobian_multiplicity_direct(f: ProjMap, p: ProjPoint, n: int) -> int:
     JG = jacobian_det(f.iterate_lift(n))
     chart = p.chart()
     center = p.chart_coords(chart)
-    last = None
-    for trunc in _trunc_schedule(f.degree, n):
-        try:
-            return _poly_taylor_order(JG, chart, center, trunc)
-        except OrderExceedsTruncation as exc:
-            last = exc
-    raise OrderExceedsTruncation(str(last))
+    return _escalate(
+        f, p, n, "composed jacobian order",
+        lambda trunc: _poly_taylor_order(JG, chart, center, trunc),
+    )
 
 
 def iterate_numerators(f: ProjMap, p: ProjPoint, n: int):
@@ -361,13 +365,10 @@ def contraction_order_direct(f: ProjMap, p: ProjPoint, n: int) -> int:
     nums = iterate_numerators(f, p, n)
     chart = p.chart()
     center = p.chart_coords(chart)
-    last = None
-    for trunc in _trunc_schedule(f.degree, n):
-        try:
-            return min(_poly_taylor_order(h, chart, center, trunc) for h in nums)
-        except OrderExceedsTruncation as exc:
-            last = exc
-    raise OrderExceedsTruncation(str(last))
+    return _escalate(
+        f, p, n, "composed contraction order",
+        lambda trunc: min(_poly_taylor_order(h, chart, center, trunc) for h in nums),
+    )
 
 
 def local_degree_direct(f: ProjMap, p: ProjPoint, n: int) -> int:

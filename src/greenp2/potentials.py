@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FitUnstable, OnCurve
 from .maps import ProjMap, ProjPoint
 from .polys import HomogPoly3
-from .sampling import ball_points, fs_points, polydisk_points, rng_from, torus_points
+from .sampling import ball_points, fs_points, polydisk_points, rng_from, sphere_shell, torus_points
 
 #: values of a curve potential below this floor are treated as on-curve hits
 CLIP_FLOOR = 30.0
@@ -154,15 +154,18 @@ def equidist_distance(
 # -- weighted density (directional Lelong) estimates --------------------------------
 
 
-def _slope_fit_weighted(logr, vals):
-    """Least-squares slope discarding the largest radius (transient regime)."""
-    order = np.argsort(logr)
-    x = logr[order][:-1]
-    y = vals[order][:-1]
+def _slope_fit(x, y):
+    """Least-squares slope of y against x and the root-mean-square residual."""
     A = np.stack([x, np.ones_like(x)], axis=1)
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = float(np.sqrt(np.mean((y - A @ sol) ** 2)))
     return float(sol[0]), resid
+
+
+def _slope_fit_weighted(logr, vals):
+    """Least-squares slope discarding the largest radius (transient regime)."""
+    order = np.argsort(logr)[:-1]
+    return _slope_fit(logr[order], vals[order])
 
 
 def default_r_grid():
@@ -182,17 +185,12 @@ def lelong_estimate(u, p, r_grid=None, samples: int = 64, seed: int = 73) -> flo
     p = np.asarray(p, dtype=complex)
     sups = []
     for r in r_grid:
-        sphere = _unit_sphere2(samples, rng)
+        sphere = sphere_shell(samples, 2, rng)
         sups.append(float(np.max(u(p[None, :] + r * sphere))))
     slope, resid = _slope_fit_weighted(np.log(r_grid), np.array(sups))
     if resid > 0.1:
         raise FitUnstable(f"sup fit residual {resid:.3f} over the radius grid")
     return slope
-
-
-def _unit_sphere2(n, rng):
-    v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    return v / np.linalg.norm(v.view(float).reshape(n, 4), axis=1)[:, None]
 
 
 def kiselman_estimate(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: default clustering floor for identifying coincident roots
+#: clustering floor for identifying coincident roots
 CLUSTER_RADIUS = 1e-6
 #: relative residual target |p(z)| <= RES_TOL * coeff_norm * max(1,|z|)^deg
 RES_TOL = 1e-8
@@ -52,12 +52,7 @@ def strip_trailing(coeffs, rel_tol=_EPS_STRIP):
     return c[: keep[-1] + 1]
 
 
-def roots_univariate(
-    coeffs,
-    cluster_radius: float = CLUSTER_RADIUS,
-    res_tol: float = RES_TOL,
-    max_iter: int = MAX_ITER,
-) -> RootResult:
+def roots_univariate(coeffs) -> RootResult:
     """All complex roots of ``sum coeffs[k] X^k`` with clustered multiplicities."""
     c = strip_trailing(coeffs)
     n = len(c) - 1
@@ -75,10 +70,10 @@ def roots_univariate(
     it = 0
     best_step = np.inf
     stagnant = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         p = _horner(c, z)
         scale = np.maximum(1.0, np.abs(z)) ** n
-        residual_ok = bool(np.all(np.abs(p) <= res_tol * scale))
+        residual_ok = bool(np.all(np.abs(p) <= RES_TOL * scale))
         if residual_ok and (best_step <= 1e-12 or stagnant >= 10):
             # simple roots polish to machine precision; multiple-root clouds
             # stagnate at their accuracy floor and stop via the stall counter
@@ -106,7 +101,7 @@ def roots_univariate(
             stagnant += 1
         best_step = min(best_step, max_step)
 
-    clusters = _cluster(c, z, n, cluster_radius)
+    clusters = _cluster(c, z, n)
     return RootResult(clusters, converged, it, n)
 
 
@@ -127,7 +122,7 @@ def _initial_points(c):
     return 0.7 * radius * jitter * np.exp(1j * angles)
 
 
-def _cluster(c, z, n, cluster_radius):
+def _cluster(c, z, n):
     p = _horner(c, z)
     # Weierstrass-correction inclusion radii: |p(z_i)| / (|c_n| prod |z_i-z_j|)
     # first-order-estimates the distance from z_i to its root even inside a
@@ -147,7 +142,7 @@ def _cluster(c, z, n, cluster_radius):
         incl = 6.0 * (np.abs(p) + eps_c * powsum) / denom
     incl = np.where(np.isfinite(incl), incl, 0.1)
     incl = np.minimum(incl, 0.1 * (1.0 + np.abs(z)))
-    radius = np.maximum(incl, cluster_radius)
+    radius = np.maximum(incl, CLUSTER_RADIUS)
 
     parent = list(range(n))
 
@@ -159,7 +154,7 @@ def _cluster(c, z, n, cluster_radius):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(z[i] - z[j]) <= max(radius[i] + radius[j], cluster_radius):
+            if abs(z[i] - z[j]) <= max(radius[i] + radius[j], CLUSTER_RADIUS):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri

@@ -12,12 +12,18 @@ from math import comb
 import numpy as np
 
 from .errors import OrderExceedsTruncation, PositiveDimensional
+from .roots import roots_univariate
 
 #: default relative tolerance for treating a coefficient as zero
 EPS_COEF = 1e-9
 
 #: fixed generic shear direction used by local resultants
 SHEAR = complex(np.cos(1.0), np.sin(1.0))
+
+# branch probes for local germs sit at moderate radius so a high-order
+# tangency (residual ~ s^k along the other branch) stays clearly above the
+# hit tolerance
+_GERM_PROBES = (0.7117 + 0.4111j, -0.5512 + 0.6643j, 0.3825 - 0.7332j)
 
 
 class AffineSeries2:
@@ -296,7 +302,7 @@ def local_multiplicity(g1: AffineSeries2, g2: AffineSeries2, rel_tol: float = EP
             return w_inner
     # a genuinely shared branch keeps every contour on the noise floor; a
     # high-order near-tangency can too, so the probe only breaks the tie
-    if _share_probe(A, B):
+    if _share_probe(A, B, _GERM_PROBES, 1e-8):
         raise PositiveDimensional("germs share a branch within truncation")
     raise OrderExceedsTruncation(
         f"no stable counting annulus for the local resultant: {counts}"
@@ -307,15 +313,11 @@ def _is_zero_germ(C):
     return float(np.max(np.abs(C))) == 0.0
 
 
-def _share_probe(A, B, tol=1e-8):
-    """Do the sheared germs share a branch?  Probed at generic s values.
+def _share_probe(A, B, probes, tol):
+    """Do the sheared polynomials share a branch?  Probed at generic s values.
 
-    Probes sit at moderate radius so a high-order tangency (residual ~ s^k
-    along the other branch) stays clearly above the hit tolerance.
+    A probe where either side vanishes identically decides nothing.
     """
-    from .roots import roots_univariate
-
-    probes = (0.7117 + 0.4111j, -0.5512 + 0.6643j, 0.3825 - 0.7332j)
     for s0 in probes:
         pa = s0 ** np.arange(A.shape[0]) @ A
         pb = s0 ** np.arange(B.shape[0]) @ B
@@ -355,6 +357,11 @@ def _winding(A, B, rho, samples=256):
 
 
 def _sylvester_dets(A, B, s_values):
+    """Sylvester determinants in v of A(s, v) and B(s, v) at each s value.
+
+    Rows of A and B index powers of s and columns powers of v; the formal
+    v-degrees are the column counts minus one.
+    """
     na = A.shape[1] - 1
     nb = B.shape[1] - 1
     s = np.asarray(s_values)
@@ -385,27 +392,3 @@ def _v_degree(C, rel_tol):
     top = colmax.max()
     alive = np.nonzero(colmax > rel_tol * top)[0] if top > 0 else []
     return int(alive[-1]) if len(alive) else -1
-
-
-def _resultant_in_v(A, B):
-    """Coefficient array of Res_v(A, B) where columns index powers of v.
-
-    Rows index powers of s; evaluation-interpolation at roots of unity.
-    """
-    na = A.shape[1] - 1
-    nb = B.shape[1] - 1
-    deg_bound = A.shape[0] * nb + B.shape[0] * na + 1
-    N = int(deg_bound + 1)
-    s = np.exp(2j * np.pi * np.arange(N) / N)
-    V = np.vander(s, max(A.shape[0], B.shape[0]), increasing=True)
-    Av = V[:, : A.shape[0]] @ A  # (N, na+1): v-coefficients at each sample
-    Bv = V[:, : B.shape[0]] @ B
-    size = na + nb
-    M = np.zeros((N, size, size), dtype=complex)
-    for r in range(nb):
-        M[:, r, r : r + na + 1] = Av[:, ::-1]
-    for r in range(na):
-        M[:, nb + r, r : r + nb + 1] = Bv[:, ::-1]
-    dets = np.linalg.det(M)
-    # samples sit at exp(+2 pi i k / N), so coefficients come from fft/N
-    return np.fft.fft(dets) / N

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import IllConditioned, PositiveDimensional, SolverFailure
 from .roots import CLUSTER_RADIUS, roots_univariate
-from .series import AffineSeries2, shear_series
+from .series import AffineSeries2, _share_probe, _sylvester_dets, shear_series
 
 #: deterministic shear candidates, tried in order on ambiguity
 SHEARS = (
@@ -22,6 +22,9 @@ SHEARS = (
 )
 
 _REL = 1e-9
+
+#: generic s values probing the sheared pair for a shared curve
+_CURVE_PROBES = (0.3371 + 0.7241j, -0.8112 + 0.2643j, 0.1425 - 0.9332j)
 
 
 def _dense(poly) -> np.ndarray:
@@ -49,14 +52,7 @@ def _trim_degree(C, deg):
     return out
 
 
-def _eval_bivariate(C, u, v):
-    nu, nv = C.shape
-    pu = u ** np.arange(nu)
-    pv = v ** np.arange(nv)
-    return pu @ C @ pv
-
-
-def solve_affine_system(a, b, cluster_radius: float = CLUSTER_RADIUS, trust_radius=None):
+def solve_affine_system(a, b, trust_radius=None):
     """Common zeros of two bivariate polynomials with clustered multiplicities.
 
     Accepts dense coefficient arrays ``C[i, j]`` for u^i v^j or
@@ -81,13 +77,13 @@ def solve_affine_system(a, b, cluster_radius: float = CLUSTER_RADIUS, trust_radi
     last_exc = None
     for lam in SHEARS:
         try:
-            return _solve_sheared(A0, B0, dA, dB, lam, cluster_radius, trust_radius)
+            return _solve_sheared(A0, B0, dA, dB, lam, trust_radius)
         except IllConditioned as exc:
             last_exc = exc
     raise last_exc
 
 
-def _solve_sheared(A0, B0, dA, dB, lam, cluster_radius, trust_radius=None):
+def _solve_sheared(A0, B0, dA, dB, lam, trust_radius):
     A = shear_series(A0, lam)
     B = shear_series(B0, lam)
     # post-shear the v-degree equals the total degree with a constant leading
@@ -99,9 +95,12 @@ def _solve_sheared(A0, B0, dA, dB, lam, cluster_radius, trust_radius=None):
     A = A[: dA + 1, : dA + 1]
     B = B[: dB + 1, : dB + 1]
 
-    if _shares_component(A, B):
+    if _share_probe(A, B, _CURVE_PROBES, 1e-6):
         raise PositiveDimensional("resultant vanishes identically at tolerance")
-    res = _resultant_samples(A, B, dA, dB)
+    # samples sit at exp(+2 pi i k / N), so coefficients come from fft/N
+    N = dA * dB + 1
+    s = np.exp(2j * np.pi * np.arange(N) / N)
+    res = np.fft.fft(_sylvester_dets(A, B, s)) / N
     top = float(np.max(np.abs(res)))
     if top == 0.0:
         raise SolverFailure("resultant cancellation below working precision")
@@ -109,7 +108,7 @@ def _solve_sheared(A0, B0, dA, dB, lam, cluster_radius, trust_radius=None):
     if _total_degree(res.reshape(-1, 1), 1e-10) == 0:
         return []
 
-    rr = roots_univariate(res, cluster_radius=cluster_radius)
+    rr = roots_univariate(res)
     if not rr.converged:
         raise SolverFailure("resultant root iteration did not converge")
 
@@ -120,7 +119,7 @@ def _solve_sheared(A0, B0, dA, dB, lam, cluster_radius, trust_radius=None):
         if s_trust is not None and abs(s0) > s_trust:
             continue
         try:
-            v0 = _back_substitute(A, B, dA, dB, s0, cluster_radius, cl.spread)
+            v0 = _back_substitute(A, B, dA, dB, s0, cl.spread)
         except IllConditioned:
             if s_trust is not None and abs(s0) > 0.7 * s_trust:
                 continue  # marginal root; the point lives in another chart
@@ -130,46 +129,10 @@ def _solve_sheared(A0, B0, dA, dB, lam, cluster_radius, trust_radius=None):
             continue
         solutions.append(((u0, v0), cl.multiplicity))
 
-    return _merge_points(solutions, cluster_radius)
+    return _merge_points(solutions, CLUSTER_RADIUS)
 
 
-def _shares_component(A, B, tol=1e-6):
-    """Do the sheared polynomials share a curve? Tested at generic s samples."""
-    probes = (0.3371 + 0.7241j, -0.8112 + 0.2643j, 0.1425 - 0.9332j)
-    for s0 in probes:
-        pa = s0 ** np.arange(A.shape[0]) @ A
-        pb = s0 ** np.arange(B.shape[0]) @ B
-        try:
-            rr = roots_univariate(pa)
-        except ValueError:
-            return False
-        scale = np.max(np.abs(pb))
-        hit = any(
-            abs(np.polyval(pb[::-1], cl.root)) <= tol * scale * max(1.0, abs(cl.root)) ** (len(pb) - 1)
-            for cl in rr.clusters
-        )
-        if not hit:
-            return False
-    return True
-
-
-def _resultant_samples(A, B, dA, dB):
-    N = dA * dB + 1
-    s = np.exp(2j * np.pi * np.arange(N) / N)
-    V = np.vander(s, max(A.shape[0], B.shape[0]), increasing=True)
-    Av = V[:, : A.shape[0]] @ A
-    Bv = V[:, : B.shape[0]] @ B
-    size = dA + dB
-    M = np.zeros((N, size, size), dtype=complex)
-    for r in range(dB):
-        M[:, r, r : r + dA + 1] = Av[:, ::-1]
-    for r in range(dA):
-        M[:, dB + r, r : r + dB + 1] = Bv[:, ::-1]
-    dets = np.linalg.det(M)
-    return np.fft.fft(dets) / N
-
-
-def _back_substitute(A, B, dA, dB, s0, cluster_radius, s_spread=0.0):
+def _back_substitute(A, B, dA, dB, s0, s_spread):
     pu = s0 ** np.arange(A.shape[0])
     aco = pu[: A.shape[0]] @ A
     pu = s0 ** np.arange(B.shape[0])
@@ -177,7 +140,7 @@ def _back_substitute(A, B, dA, dB, s0, cluster_radius, s_spread=0.0):
 
     cands = []
     for co, other, deg_other in ((aco, bco, dB), (bco, aco, dA)):
-        rr = roots_univariate(co, cluster_radius=cluster_radius)
+        rr = roots_univariate(co)
         for cl in rr.clusters:
             cands.append(cl.root)
     if not cands:
@@ -192,7 +155,7 @@ def _back_substitute(A, B, dA, dB, s0, cluster_radius, s_spread=0.0):
     best = scored[0][0]
     accepted = [v for sc, _, _, v in scored if sc <= max(5.0 * best, 1e-7)]
 
-    groups = _cluster_values(accepted, cluster_radius)
+    groups = _cluster_values(accepted, CLUSTER_RADIUS)
     if len(groups) == 1:
         return complex(np.mean(groups[0]))
     spread = max(

@@ -310,6 +310,10 @@ def test_criterion_14_cli_determinism(tmp_path):
         ["classify", "--map", str(path), "--seed", "5"],
         ["invariants", "--map", str(path), "--seed", "5"],
         ["gen", "table1", "--row", "2-3", "--d", "2", "--seed", "5"],
+        ["mult", "--map", str(path), "--n", "2", "--seed", "5"],
+        ["lelong", "--map", str(path), "--seed", "5"],
+        ["kiselman", "--map", str(path), "--alpha", "0.5,1", "--seed", "5"],
+        ["volume", "--map", str(path), "--n", "3", "--seed", "5"],
     ]
     for cmd in commands:
         runs = [
