@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IllConditioned, PositiveDimensional, SolverFailure
-from .roots import CLUSTER_RADIUS, roots_univariate
+from .roots import CLUSTER_RADIUS, roots_batch, roots_univariate
 from .series import AffineSeries2, _share_probe, _sylvester_dets, shear_series
 
 #: deterministic shear candidates, tried in order on ambiguity
@@ -113,13 +113,19 @@ def _solve_sheared(A0, B0, dA, dB, lam, trust_radius):
         raise SolverFailure("resultant root iteration did not converge")
 
     s_trust = None if trust_radius is None else trust_radius * (1.0 + abs(lam)) + 1.0
+    kept = [cl for cl in rr.clusters if s_trust is None or abs(cl.root) <= s_trust]
+    # the v-polynomials of A and B over every kept resultant root, solved together
+    fibres = [
+        (cl.root ** np.arange(A.shape[0]) @ A, cl.root ** np.arange(B.shape[0]) @ B)
+        for cl in kept
+    ]
+    found = roots_batch([co for pair in fibres for co in pair])
     solutions = []
-    for cl in rr.clusters:
+    for cl, (aco, bco), ra, rb in zip(kept, fibres, found[::2], found[1::2]):
         s0 = cl.root
-        if s_trust is not None and abs(s0) > s_trust:
-            continue
+        cands = [c.root for c in ra.clusters + rb.clusters]
         try:
-            v0 = _back_substitute(A, B, dA, dB, s0, cl.spread)
+            v0 = _back_substitute(aco, bco, dA, dB, cands, s0, cl.spread)
         except IllConditioned:
             if s_trust is not None and abs(s0) > 0.7 * s_trust:
                 continue  # marginal root; the point lives in another chart
@@ -132,24 +138,14 @@ def _solve_sheared(A0, B0, dA, dB, lam, trust_radius):
     return _merge_points(solutions, CLUSTER_RADIUS)
 
 
-def _back_substitute(A, B, dA, dB, s0, s_spread):
-    pu = s0 ** np.arange(A.shape[0])
-    aco = pu[: A.shape[0]] @ A
-    pu = s0 ** np.arange(B.shape[0])
-    bco = pu[: B.shape[0]] @ B
-
-    cands = []
-    for co, other, deg_other in ((aco, bco, dB), (bco, aco, dA)):
-        rr = roots_univariate(co)
-        for cl in rr.clusters:
-            cands.append(cl.root)
-    if not cands:
-        raise IllConditioned("no back-substitution candidates")
+def _back_substitute(aco, bco, dA, dB, cands, s0, s_spread):
+    """The v over resultant root ``s0``, picked from the roots ``cands`` of ``aco`` and ``bco``."""
+    norm_a, norm_b = np.max(np.abs(aco)), np.max(np.abs(bco))
 
     def score(v):
         sa = abs(np.polyval(aco[::-1], v)) / max(1.0, abs(v)) ** dA
         sb = abs(np.polyval(bco[::-1], v)) / max(1.0, abs(v)) ** dB
-        return max(sa / np.max(np.abs(aco)), sb / np.max(np.abs(bco)))
+        return max(sa / norm_a, sb / norm_b)
 
     scored = sorted((score(v), v.real, v.imag, v) for v in cands)
     best = scored[0][0]

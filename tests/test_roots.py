@@ -2,7 +2,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from greenp2.roots import roots_univariate
+from greenp2.roots import roots_batch, roots_univariate
+from scalar_aberth import scalar_roots
 
 
 def test_quadratic_pair():
@@ -75,3 +76,42 @@ def test_residuals_reported():
 def test_degree_zero_rejected():
     with pytest.raises(ValueError):
         roots_univariate([3.0])
+
+
+def _fields(rr):
+    return (
+        rr.degree,
+        rr.converged,
+        rr.iterations,
+        [c.root for c in rr.clusters],
+        [c.multiplicity for c in rr.clusters],
+        [c.spread for c in rr.clusters],
+        [c.residual for c in rr.clusters],
+    )
+
+
+def test_batch_rows_equal_single_calls():
+    """A batched call returns, row by row, exactly what one-row calls and the scalar loop return."""
+    rng = np.random.default_rng(2000)
+    rows = []
+    for _ in range(40):
+        deg = int(rng.integers(1, 13))
+        rows.append(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+    rows.append(rng.standard_normal(46) + 1j * rng.standard_normal(46))  # degree 45
+    rows += [
+        npoly.polyfromroots([1, 1, -2]),  # (X-1)^2 (X+2)
+        [0, 0, 0, 0, 1],  # X^4
+        npoly.polyfromroots([0.5, 0.5 + 1e-4]),
+        [6, -5, 1, 0, 0],  # (X-2)(X-3) with trailing zeros
+        [2, 1, 0],
+    ]
+    batch = roots_batch(rows)
+    assert len(batch) == len(rows)
+    for row, got in zip(rows, batch):
+        assert _fields(got) == _fields(roots_univariate(row))
+        assert _fields(got) == _fields(scalar_roots(row))
+
+
+def test_batch_degree_zero_row_rejected():
+    with pytest.raises(ValueError):
+        roots_batch([[1.0, 1.0], [3.0]])
