@@ -26,7 +26,7 @@ from .maps import ProjMap, ProjPoint, _unit_phase
 from .multiplicities import contraction_order, jacobian_multiplicity
 from .polys import HomogPoly3, monomial_exponents
 from .potentials import _slope_fit
-from .roots import roots_univariate, strip_trailing
+from .roots import roots_batch, roots_univariate, strip_trailing
 
 LINE_TOL = 1e-7
 _SEED_LINES = 715225741
@@ -499,15 +499,17 @@ def detect_linear_critical_components(f: ProjMap, seed=11):
 def _component_sample(f: ProjMap, comp: HomogPoly3, others, seed=17):
     """A smooth sample point of {comp = 0} away from the other components."""
     rng = np.random.default_rng(seed)
-    best = None
+    lines = []
     for _ in range(40):
         b1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         b2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         b1, b2 = b1 / np.linalg.norm(b1), b2 / np.linalg.norm(b2)
         co = comp.restrict_line(b1, b2)
-        if np.max(np.abs(co)) < 1e-12:
-            continue
-        for cl in roots_univariate(co).clusters:
+        if np.max(np.abs(co)) >= 1e-12:
+            lines.append((b1, b2, co))
+    best = None
+    for (b1, b2, _), rr in zip(lines, roots_batch([co for _, _, co in lines])):
+        for cl in rr.clusters:
             x = ProjPoint(b1 + cl.root * b2)
             clearance = min(
                 (abs(o(x.coords)) / max(o.coeff_norm, 1e-300) for o in others),

@@ -41,7 +41,7 @@ class AffineSeries2:
             self.coeffs = np.zeros((n, n), dtype=complex)
             m = min(n, c.shape[0]), min(n, c.shape[1])
             self.coeffs[: m[0], : m[1]] = c[: m[0], : m[1]]
-            _mask_beyond(self.coeffs, self.trunc)
+            self.coeffs[self.total_degrees() > self.trunc] = 0.0
         self.base_point = (complex(base_point[0]), complex(base_point[1]))
 
     # -- constructors -------------------------------------------------------
@@ -110,60 +110,55 @@ class AffineSeries2:
         if np.isscalar(other):
             return self.scale(other)
         t = min(self.trunc, other.trunc)
-        a = self.coeffs[: t + 1, : t + 1]
-        b = other.coeffs[: t + 1, : t + 1]
-        full = _conv2(a, b)[: t + 1, : t + 1]
         out = AffineSeries2(t, base_point=self.base_point)
-        out.coeffs[:] = full
-        _mask_beyond(out.coeffs, t)
+        out.coeffs[:] = _product(self.coeffs[: t + 1, : t + 1], other.coeffs[: t + 1, : t + 1])
         return out
 
     def reciprocal(self):
-        """1/self; the constant term must be nonzero.
+        """1/self by Newton doubling; the constant term must be nonzero.
 
-        Formal inversion is exact whatever the coefficient magnitudes, so only
-        an outright zero constant is rejected.
+        Each step x <- x (2 - self x) doubles the number of correct degrees,
+        so the truncations run 1, 3, 7, ... up to ``trunc`` (Brent & Kung,
+        J. ACM 25, 1978).  Formal inversion is exact whatever the coefficient
+        magnitudes, so only an outright zero constant is rejected.
         """
         c = self.const
         if abs(c) < 1e-250:
             raise ZeroDivisionError("series has a vanishing constant term")
-        g = self.scale(1.0 / c)
-        g.coeffs[0, 0] = 0.0  # g = self/c - 1
-        out = AffineSeries2.constant(1.0, self.trunc, self.base_point)
-        term = AffineSeries2.constant(1.0, self.trunc, self.base_point)
-        for _ in range(self.trunc):
-            term = term * g
-            term = term.scale(-1.0)
-            out = out + term
-            if term.max_abs() == 0.0:
-                break
-        return out.scale(1.0 / c)
+        x = AffineSeries2.constant(1.0 / c, 0, self.base_point)
+        while x.trunc < self.trunc:
+            x = AffineSeries2(min(2 * x.trunc + 1, self.trunc), x.coeffs, self.base_point)
+            x = x * ((self * x).scale(-1.0) + 2.0)
+        return x
 
 
-def _mask_beyond(coeffs, trunc):
-    n = coeffs.shape[0]
-    i = np.arange(n)
-    coeffs[(i[:, None] + i[None, :]) > trunc] = 0.0
+def _product(a, b):
+    """The ``i + j <= t`` triangle of the product of two triangles of size t + 1.
 
-
-def _conv2(a, b):
-    """Direct 2D convolution via a collision-free flattening.
-
-    Direct (non-FFT) convolution keeps rounding noise graded: a degree-k
-    output coefficient only ever mixes inputs of degree <= k, which the
+    In graded coordinates (row k holds degree k) rows k and m with k + m <= t
+    multiply to k + m + 1 <= t + 1 entries, so at row width t + 1 nothing
+    spills into the next row, and pairs with k + m > t land past the first
+    (t + 1)^2 entries: the truncated product is one direct 1-D convolution,
+    and input entries past the triangle are never read.
+    Direct (non-FFT) convolution keeps rounding noise graded: a degree-k output
+    coefficient only ever mixes inputs of degree <= k, which the
     vanishing-order tolerance logic relies on.
     """
-    na, ma = a.shape
-    nb, mb = b.shape
-    width = ma + mb - 1
-    fa = np.zeros((na, width), dtype=complex)
-    fa[:, :ma] = a
-    fb = np.zeros((nb, width), dtype=complex)
-    fb[:, :mb] = b
-    flat = np.convolve(fa.ravel(), fb.ravel())
-    rows = na + nb - 1
-    # column sums stay below `width`, so nothing lives past rows*width
-    return flat[: rows * width].reshape(rows, width)
+    n = a.shape[0]
+    flat = np.convolve(_graded(a), _graded(b))
+    flat[n * n :] = 0.0  # the degrees past the truncation
+    step = flat.itemsize
+    # c[i, j] = g[i + j, j], read at row width n from the flat graded product
+    return np.ndarray((n, n), complex, flat, 0, (n * step, (n + 1) * step))
+
+
+def _graded(c):
+    """g[k, j] = c[k - j, j], zero for j > k, flattened row by row."""
+    n = c.shape[0]
+    z = np.zeros((2 * n, n), dtype=complex)
+    z[n:] = c  # the zero rows above c supply g[k, j] for j > k
+    step = z.itemsize
+    return np.ndarray((n, n), complex, z, n * n * step, (n * step, (1 - n) * step)).ravel()
 
 
 # -- Taylor shifts of dense bivariate polynomials -------------------------------
@@ -230,19 +225,21 @@ def compose_poly_series(P: np.ndarray, s1: AffineSeries2, s2: AffineSeries2) -> 
     """Substitute zero-constant series (s1, s2) into a dense bivariate polynomial.
 
     Exact up to the common truncation because the inner series have no
-    constant term.
+    constant term.  The powers of s2 are formed once; each row of P is a
+    linear combination of them, and Horner runs in s1 only, which takes
+    n1 + n2 - 3 products for a P of shape (n1, n2).
     """
     trunc = min(s1.trunc, s2.trunc)
     base = s1.base_point
     n1, n2 = P.shape
-    zero = AffineSeries2(trunc, base_point=base)
-    acc = zero.copy()
-    for a in range(n1 - 1, -1, -1):
-        inner = AffineSeries2.constant(P[a, n2 - 1], trunc, base)
-        for b in range(n2 - 2, -1, -1):
-            inner = inner * s2
-            inner.coeffs[0, 0] += P[a, b]
-        acc = acc * s1 + inner if a < n1 - 1 else inner
+    powers = [AffineSeries2.constant(1.0, trunc, base), AffineSeries2(trunc, s2.coeffs, base)]
+    while len(powers) < n2:
+        powers.append(powers[-1] * s2)
+    rows = np.tensordot(P, np.array([s.coeffs for s in powers[:n2]]), axes=(1, 0))
+    acc = AffineSeries2(trunc, rows[n1 - 1], base)
+    for a in range(n1 - 2, -1, -1):
+        acc = acc * s1
+        acc.coeffs += rows[a]
     return acc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IllConditioned, PositiveDimensional, SolverFailure
-from .roots import CLUSTER_RADIUS, roots_batch, roots_univariate
+from .roots import CLUSTER_RADIUS, _abs, _horner, roots_batch, roots_univariate
 from .series import AffineSeries2, _share_probe, _sylvester_dets, shear_series
 
 #: deterministic shear candidates, tried in order on ambiguity
@@ -141,13 +141,14 @@ def _solve_sheared(A0, B0, dA, dB, lam, trust_radius):
 def _back_substitute(aco, bco, dA, dB, cands, s0, s_spread):
     """The v over resultant root ``s0``, picked from the roots ``cands`` of ``aco`` and ``bco``."""
     norm_a, norm_b = np.max(np.abs(aco)), np.max(np.abs(bco))
-
-    def score(v):
-        sa = abs(np.polyval(aco[::-1], v)) / max(1.0, abs(v)) ** dA
-        sb = abs(np.polyval(bco[::-1], v)) / max(1.0, abs(v)) ** dB
-        return max(sa / norm_a, sb / norm_b)
-
-    scored = sorted((score(v), v.real, v.imag, v) for v in cands)
+    vs = np.array(cands, dtype=complex)
+    big = [max(1.0, abs(v)) for v in cands]
+    # abs() as hypot and the scalar power, as in scalar scoring, keep each
+    # score to its last bit: sorting and acceptance compare them
+    sa = (_abs(_horner(aco, vs)) / [g**dA for g in big]).tolist()
+    sb = (_abs(_horner(bco, vs)) / [g**dB for g in big]).tolist()
+    scores = [max(a / norm_a, b / norm_b) for a, b in zip(sa, sb)]
+    scored = sorted(zip(scores, vs.real.tolist(), vs.imag.tolist(), cands))
     best = scored[0][0]
     accepted = [v for sc, _, _, v in scored if sc <= max(5.0 * best, 1e-7)]
 

@@ -1,0 +1,62 @@
+"""Reference for the truncated series arithmetic of ``greenp2.series``.
+
+These are the rectangle convolution, the Horner composition and the Neumann
+reciprocal that the triangle product, the power-table composition and the
+Newton reciprocal replaced.  Tests compare the two to rounding accuracy.
+"""
+
+import numpy as np
+
+from greenp2.series import AffineSeries2
+
+
+def conv2(a, b):
+    """Direct 2D convolution via a collision-free flattening of the full rectangles."""
+    na, ma = a.shape
+    nb, mb = b.shape
+    width = ma + mb - 1
+    fa = np.zeros((na, width), dtype=complex)
+    fa[:, :ma] = a
+    fb = np.zeros((nb, width), dtype=complex)
+    fb[:, :mb] = b
+    flat = np.convolve(fa.ravel(), fb.ravel())
+    rows = na + nb - 1
+    # column sums stay below `width`, so nothing lives past rows*width
+    return flat[: rows * width].reshape(rows, width)
+
+
+def product(x: AffineSeries2, y: AffineSeries2) -> AffineSeries2:
+    """x * y from the full rectangle product, cut back to the triangle."""
+    t = min(x.trunc, y.trunc)
+    full = conv2(x.coeffs[: t + 1, : t + 1], y.coeffs[: t + 1, : t + 1])
+    return AffineSeries2(t, full[: t + 1, : t + 1], x.base_point)
+
+
+def compose_horner(P, s1: AffineSeries2, s2: AffineSeries2) -> AffineSeries2:
+    """P(s1, s2) by nested Horner: n1 * n2 - 1 products."""
+    trunc = min(s1.trunc, s2.trunc)
+    base = s1.base_point
+    n1, n2 = P.shape
+    acc = None
+    for a in range(n1 - 1, -1, -1):
+        inner = AffineSeries2.constant(P[a, n2 - 1], trunc, base)
+        for b in range(n2 - 2, -1, -1):
+            inner = product(inner, s2)
+            inner.coeffs[0, 0] += P[a, b]
+        acc = inner if acc is None else product(acc, s1) + inner
+    return acc
+
+
+def reciprocal_neumann(s: AffineSeries2) -> AffineSeries2:
+    """1/s as (1/c) * sum_k (-g)^k with g = s/c - 1: up to ``trunc`` products."""
+    c = s.const
+    g = s.scale(1.0 / c)
+    g.coeffs[0, 0] = 0.0
+    out = AffineSeries2.constant(1.0, s.trunc, s.base_point)
+    term = AffineSeries2.constant(1.0, s.trunc, s.base_point)
+    for _ in range(s.trunc):
+        term = product(term, g).scale(-1.0)
+        out = out + term
+        if term.max_abs() == 0.0:
+            break
+    return out.scale(1.0 / c)

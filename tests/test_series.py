@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from greenp2 import ProjPoint, configuration_map
 from greenp2.errors import OrderExceedsTruncation, PositiveDimensional
+from greenp2.multiplicities import orbit_report
 from greenp2.polys import parse_poly
 from greenp2.series import (
     AffineSeries2,
@@ -11,6 +13,7 @@ from greenp2.series import (
     shift_bivariate,
     vanishing_order,
 )
+from series_reference import compose_horner, product, reciprocal_neumann
 
 
 def series_from(entries, trunc):
@@ -107,6 +110,97 @@ def test_compose_poly_series():
     s2 = series_from({(1, 0): 1.0}, 4)
     comp = compose_poly_series(P, s1, s2)
     assert comp.coeffs[0, 2] == 1.0 and comp.coeffs[1, 2] == 2.0 and comp.coeffs[2, 2] == 1.0
+
+
+def dense_series(rng, trunc, const=None, decay=1.0):
+    """A seeded series with every coefficient of the triangle filled in."""
+    n = trunc + 1
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    deg = np.add.outer(np.arange(n), np.arange(n))
+    c *= decay**deg
+    if const is not None:
+        c[0, 0] = const
+    return AffineSeries2(trunc, c)
+
+
+@pytest.mark.parametrize("trunc", (0, 1, 2, 4, 6, 12, 24, 48))
+def test_product_matches_rectangle_reference(trunc):
+    rng = np.random.default_rng(100 + trunc)
+    a, b = dense_series(rng, trunc), dense_series(rng, trunc)
+    got, ref = (a * b).coeffs, product(a, b).coeffs
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.all(got[a.total_degrees() > trunc] == 0.0)
+
+
+def test_product_of_mixed_truncations():
+    rng = np.random.default_rng(7)
+    a, b = dense_series(rng, 9), dense_series(rng, 5)
+    got = a * b
+    assert got.trunc == 5
+    assert np.max(np.abs(got.coeffs - product(a, b).coeffs)) <= 1e-14 * got.max_abs()
+
+
+@pytest.mark.parametrize("trunc", (6, 24, 48))
+def test_product_noise_stays_graded(trunc):
+    """Inputs of degree > k never touch an output coefficient of degree <= k."""
+    rng = np.random.default_rng(200 + trunc)
+    a, b = dense_series(rng, trunc), dense_series(rng, trunc)
+    deg = a.total_degrees()
+    base = (a * b).coeffs
+    for k in range(trunc):
+        a2, b2 = a.copy(), b.copy()
+        high = deg > k
+        a2.coeffs[high] += 1e3 * rng.standard_normal(np.count_nonzero(high))
+        b2.coeffs[high] -= 1e3j * rng.standard_normal(np.count_nonzero(high))
+        low = deg <= k
+        assert np.array_equal((a2 * b2).coeffs[low], base[low])
+
+
+@pytest.mark.parametrize("trunc", (0, 1, 5, 16, 48))
+def test_reciprocal_inverts_and_matches_neumann(trunc):
+    rng = np.random.default_rng(300 + trunc)
+    s = dense_series(rng, trunc, const=2.0 - 0.5j, decay=0.3)
+    inv = s.reciprocal()
+    one = (s * inv).coeffs
+    assert abs(one[0, 0] - 1.0) < 1e-12
+    one[0, 0] = 0.0
+    assert np.max(np.abs(one)) < 1e-12
+    ref = reciprocal_neumann(s).coeffs
+    assert np.max(np.abs(inv.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape,trunc", [((1, 1), 4), ((3, 1), 6), ((1, 3), 6), ((4, 4), 12), ((7, 7), 24), ((4, 4), 48)])
+def test_compose_matches_horner_reference(shape, trunc):
+    rng = np.random.default_rng(400 + trunc + shape[0])
+    P = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s1, s2 = dense_series(rng, trunc, const=0.0), dense_series(rng, trunc, const=0.0)
+    ref = compose_horner(P, s1, s2).coeffs
+    got = compose_poly_series(P, s1, s2).coeffs
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_online_orbit_report_product_budget(monkeypatch):
+    """The passing on-line fixed point of configuration_map('1-0', 3, 8) escalates to
+    truncation 48; its orbit report stays within 300 products there (90 with the
+    power-table composition and the Newton reciprocal, 429 with the Horner
+    composition and the Neumann reciprocal)."""
+    f = configuration_map("1-0", 3, 8)
+    target = ProjPoint([0.69965703, -0.68112128 - 0.2157634j, 0.0])
+    p = min((q for q, _ in f.fixed_points()), key=lambda q: q.dist(target))
+    assert p.dist(target) < 1e-6
+    mul = AffineSeries2.__mul__
+    truncs = []
+
+    def counted(self, other):
+        out = mul(self, other)
+        truncs.append(out.trunc)
+        return out
+
+    monkeypatch.setattr(AffineSeries2, "__mul__", counted)
+    rep = orbit_report(f, p, 3)
+    assert all(rep.inequality_verdicts.values())
+    assert all(m >= 3**n - 1 for n, m in zip((1, 2, 3), rep.jacobian_orders))
+    assert 0 < truncs.count(48) <= 300
 
 
 class TestLocalMultiplicity:
