@@ -1,18 +1,18 @@
 """Totally invariant lines and points, exceptional structure, and classification.
 
-A line {l = 0} is totally invariant exactly when l o F = lambda * l^d in
-coordinates; candidates are found by damped Gauss-Newton on that
-overdetermined coefficient-matching system, batched over multistarts.
-On each such line the map restricts to a degree-d rational self-map of the
-line, and totally invariant periodic orbits of the restriction are the
-line-borne exceptional points.  Off the lines, exceptional points are fixed
-points whose one-step contraction order equals the degree (pencil-preserving
-points).
+A totally invariant line {l = 0}, with l o F = lambda * l^d in coefficients,
+is a linear factor of the lift Jacobian: the map ramifies to order d - 1 along
+it.  The linear factors are found exactly, as lines through roots of the
+Jacobian's restrictions to two fixed probe lines.  On each invariant line the
+map restricts to a degree-d rational self-map of the line, and totally
+invariant periodic orbits of the restriction are the line-borne exceptional
+points.  Off the lines, exceptional points are fixed points whose one-step
+contraction order equals the degree (pencil-preserving points).
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +29,12 @@ from .potentials import _slope_fit
 from .roots import roots_batch, roots_univariate, strip_trailing
 
 LINE_TOL = 1e-7
-_SEED_LINES = 715225741
-#: random Gauss-Newton starts per normalisation chart
-_LINE_STARTS = 200
+#: two fixed lines, spanned by points off the coordinate lines, whose coefficients
+#: have near-equal moduli: far from the vertices, where structured maps put pencils
+_PROBE_LINES = (
+    (np.array([-0.8 - 0.9j, 1.0 + 0.3j, -0.7 - 0.4j]), np.array([0.9 + 0.4j, -0.4 + 0.9j, -0.2 + 0.8j])),
+    (np.array([-0.8 - 0.8j, -0.2 + 0.8j, -0.7 - 0.8j]), np.array([-0.6 - 0.6j, 0.2 - 1.0j, 0.5 - 0.9j])),
+)
 
 
 # -- totally invariant lines ------------------------------------------------------
@@ -74,128 +77,21 @@ def _canonical_coeffs(v):
 
 
 def invariant_lines(f: ProjMap):
-    """All lines with l o F = lambda l^d, by batched multistart Gauss-Newton."""
-    d = f.degree
-    exps = monomial_exponents(d)
-    multi = np.array(
-        [math.factorial(d) // (math.factorial(i) * math.factorial(j) * math.factorial(k))
-         for i, j, k in exps],
-        dtype=complex,
-    )
-    comp_mat = np.stack([p.coeffs for p in f.components], axis=1)  # (M, 3)
-    scale = max(1.0, max(p.coeff_norm for p in f.components))
-    rng = np.random.default_rng(_SEED_LINES)
-
-    found = []
-    for norm_chart in range(3):
-        free = [i for i in range(3) if i != norm_chart]
-        # seeded starts: coordinate lines, sums, then random
-        seeds = [np.eye(3)[i] for i in range(3)] + [
-            np.array([1.0, 1.0, 1.0]),
-            np.array([1.0, -1.0, 0.0]),
-            np.array([1.0, 0.0, -1.0]),
-            np.array([0.0, 1.0, -1.0]),
-        ]
-        seeds = [s for s in seeds if abs(s[norm_chart]) > 0.5]
-        shape = (_LINE_STARTS, 3)
-        rand = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ell = np.concatenate([np.array(seeds, dtype=complex), rand], axis=0)
-        ell = ell / ell[:, norm_chart][:, None]
-        lam = _lsq_lambda(ell, comp_mat, multi, exps)
-        ell, lam = _gauss_newton_lines(ell, lam, comp_mat, multi, exps, free, d)
-        res = _line_residual(ell, lam, comp_mat, multi, exps)
-        for b in range(ell.shape[0]):
-            if not np.isfinite(res[b]) or res[b] > LINE_TOL * scale:
-                continue
-            coeffs = _canonical_coeffs(ell[b])
-            form = HomogPoly3(1, coeffs)
-            lam_b = _lsq_lambda(coeffs[None, :], comp_mat, multi, exps)[0]
-            resid = float(
-                _line_residual(coeffs[None, :], np.array([lam_b]), comp_mat, multi, exps)[0]
-            ) / scale
-            if resid > LINE_TOL:
-                continue
-            for other in found:
-                if np.linalg.norm(other.form.coeffs - coeffs) < 1e-5:
-                    break
-            else:
-                found.append(InvariantLine(form, complex(lam_b), resid))
-    found.sort(key=lambda L: L.residual)
-    found = found[:3]
+    """The linear factors of the Jacobian with l o F = lambda l^d, at most three."""
+    fits = [(form, *_invariance_fit(f, form.coeffs)) for form in _linear_factors(f)]
+    found = [InvariantLine(form, complex(lam), res) for form, lam, res in fits if res <= LINE_TOL]
+    found = sorted(found, key=lambda L: L.residual)[:3]
     found.sort(key=lambda L: tuple(np.round(np.abs(L.form.coeffs), 6)))
     return found
 
 
-def _power_tables(ell, dmax):
-    tables = []
-    for v in range(3):
-        t = np.ones((dmax + 1, ell.shape[0]), dtype=complex)
-        for e in range(1, dmax + 1):
-            t[e] = t[e - 1] * ell[:, v]
-        tables.append(t)
-    return tables
-
-
-def _ell_power_coeffs(ell, multi, exps):
-    d = int(exps[0].sum())
-    pz, pw, pt = _power_tables(ell, d)
-    return (multi[None, :] * pz[exps[:, 0]].T * pw[exps[:, 1]].T * pt[exps[:, 2]].T)
-
-
-def _lsq_lambda(ell, comp_mat, multi, exps):
-    u = ell @ comp_mat.T  # (B, M): coefficients of l o F
-    v = _ell_power_coeffs(ell, multi, exps)
-    num = np.sum(np.conj(v) * u, axis=1)
-    den = np.sum(np.abs(v) ** 2, axis=1)
-    den = np.where(den == 0, 1.0, den)
-    return num / den
-
-
-def _line_residual(ell, lam, comp_mat, multi, exps):
-    u = ell @ comp_mat.T
-    v = _ell_power_coeffs(ell, multi, exps)
-    return np.linalg.norm(u - lam[:, None] * v, axis=1)
-
-
-def _gauss_newton_lines(ell, lam, comp_mat, multi, exps, free, d, iters=60):
-    B = ell.shape[0]
-    for _ in range(iters):
-        u = ell @ comp_mat.T
-        v = _ell_power_coeffs(ell, multi, exps)
-        R = u - lam[:, None] * v
-        # holomorphic Jacobian columns: two free line coefficients and lambda
-        pz, pw, pt = _power_tables(ell, d)
-        cols = []
-        for a in free:
-            e_a = exps[:, a]
-            dv = np.zeros_like(v)
-            mask = e_a >= 1
-            facs = [pz, pw, pt]
-            prod = np.ones((B, mask.sum()), dtype=complex)
-            for vv in range(3):
-                e = exps[mask, vv] - (1 if vv == a else 0)
-                prod *= facs[vv][e].T
-            dv[:, mask] = multi[None, mask] * e_a[None, mask] * prod
-            cols.append(comp_mat[:, a][None, :] - lam[:, None] * dv)
-        cols.append(-v)
-        J = np.stack(cols, axis=2)  # (B, M, 3)
-        JH = np.conj(np.transpose(J, (0, 2, 1)))
-        G = JH @ J + 1e-12 * np.eye(3)[None, :, :]
-        rhs = -(JH @ R[:, :, None])
-        try:
-            delta = np.linalg.solve(G, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(G.reshape(-1, 3), rhs.reshape(-1, 1), rcond=None)[0]
-        # clip wild steps; dead diverging starts are zeroed out
-        with np.errstate(over="ignore", invalid="ignore"):
-            mag = np.abs(delta)
-            cap = 2.0 * (1.0 + np.abs(np.concatenate([ell[:, free], lam[:, None]], axis=1)))
-            delta = np.where(mag > cap, delta * cap / np.where(mag == 0, 1, mag), delta)
-        delta[~np.isfinite(delta)] = 0.0
-        for idx, a in enumerate(free):
-            ell[:, a] += delta[:, idx]
-        lam = lam + delta[:, 2]
-    return ell, lam
+def _invariance_fit(f: ProjMap, ell):
+    """Least-squares lambda in l o F = lambda l^d, and the relative coefficient residual."""
+    u = ell @ np.stack([p.coeffs for p in f.components])  # coefficients of l o F
+    v = HomogPoly3(1, ell).power(f.degree).coeffs
+    lam = np.sum(np.conj(v) * u) / np.sum(np.abs(v) ** 2)
+    scale = max(1.0, max(p.coeff_norm for p in f.components))
+    return lam, float(np.linalg.norm(u - lam * v)) / scale
 
 
 # -- restriction of the map to an invariant line ---------------------------------
@@ -276,7 +172,7 @@ def _binary_roots(co, formal_degree):
 
 
 def _p1_iterate_forms(rest: LineRestriction, k: int):
-    """Coefficients of the k-fold composition as binary форms, via DFT sampling."""
+    """Coefficients of the k-fold composition as binary forms, via DFT sampling."""
     d = rest.degree
     D = d**k
     npts = D + 2
@@ -445,23 +341,6 @@ class TransitionMatrix:
         }
 
 
-def _critical_samples(f: ProjMap, count=24, seed=11):
-    """Points on the critical curve, found along random lines."""
-    rng = np.random.default_rng(seed)
-    J = f.lift_jacobian
-    out = []
-    while len(out) < count:
-        b1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        co = J.restrict_line(b1 / np.linalg.norm(b1), b2 / np.linalg.norm(b2))
-        rr = roots_univariate(co)
-        for cl in rr.clusters:
-            out.append(ProjPoint(b1 / np.linalg.norm(b1) + cl.root * b2 / np.linalg.norm(b2)))
-            if len(out) >= count:
-                break
-    return out
-
-
 def _line_divides_jacobian(f: ProjMap, coeffs, tol=1e-7) -> bool:
     line = InvariantLine(HomogPoly3(1, _canonical_coeffs(coeffs)), 0.0, 0.0)
     b1, b2 = line.basis()
@@ -469,31 +348,100 @@ def _line_divides_jacobian(f: ProjMap, coeffs, tol=1e-7) -> bool:
     return float(np.max(np.abs(co))) <= tol * max(f.lift_jacobian.coeff_norm, 1e-300)
 
 
-def detect_linear_critical_components(f: ProjMap, seed=11):
-    """Linear factors of the lift Jacobian.
+def detect_linear_critical_components(f: ProjMap):
+    """Linear factors of the lift Jacobian, each once, canonical and sorted."""
+    return _linear_factors(f)
 
-    Candidates are the coordinate lines, every detected invariant line, and
-    lines through pairs of critical-curve samples; each candidate is kept if
-    the Jacobian vanishes identically along it.
+
+def _linear_factors(f: ProjMap):
+    """Linear factors of the lift Jacobian J, from its restrictions p to the probe lines.
+
+    An m-fold factor meets a probe in an m-fold root of p, a simple root of
+    p^(m-1).  The multiple factors come from the derivatives, the simple ones
+    from p with those divided out: a multiple root's cloud can swallow a
+    simple root beside it.
     """
-    samples = _critical_samples(f, seed=seed)
-    candidates = [np.eye(3, dtype=complex)[i] for i in range(3)]
-    candidates += [line.form.coeffs for line in invariant_lines(f)]
-    for i in range(len(samples)):
-        for j in range(i + 1, min(i + 4, len(samples))):
-            ell = np.cross(samples[i].coords, samples[j].coords)
-            n = np.linalg.norm(ell)
-            if n > 1e-9:
-                candidates.append(ell / n)
-    out = []
-    for cand in candidates:
-        if not _line_divides_jacobian(f, cand):
+    J = f.lift_jacobian
+    probes = [(b1, b2, strip_trailing(J.restrict_line(b1, b2))) for b1, b2 in _PROBE_LINES]
+    derivs = [[np.polyder(p[::-1], k)[::-1] for k in range(1, len(p) - 1)] for _, _, p in probes]
+    found = iter(roots_batch([row for rows in derivs for row in rows]))
+    factors = []  # (canonical coefficients, multiplicity)
+    _add_factors(f, [
+        _probe_points(J, p, p, b1, b2, range(1, J.degree), [next(found) for _ in rows])
+        for (b1, b2, p), rows in zip(probes, derivs)
+    ], factors)
+    deflated = [_deflate(p, b1, b2, factors) for b1, b2, p in probes]
+    if min(len(q) for q in deflated) >= 2:
+        _add_factors(f, [
+            _probe_points(J, p, q, b1, b2, (0,), [rr])
+            for (b1, b2, p), q, rr in zip(probes, deflated, roots_batch(deflated))
+        ], factors)
+    out = [HomogPoly3(1, c) for c, _ in factors]
+    return sorted(out, key=lambda p: tuple(np.round(np.abs(p.coeffs), 6)))
+
+
+def _probe_points(J, p, q, b1, b2, orders, results):
+    """(point, order) pairs on a probe: the simple roots of each result where q vanishes.
+
+    The probe's spanning point b2 is the root at infinity, of every order
+    below the degree that p lost against J.
+    """
+    pts = [(b2, k) for k in orders if k < J.degree + 1 - len(p)]
+    tol = 1e-8 * np.max(np.abs(q))
+    for k, rr in zip(orders, results):
+        for cl in rr.clusters:
+            x = cl.root
+            bound = tol * max(1.0, abs(x)) ** (len(q) - 1)
+            if cl.multiplicity == 1 and abs(np.polyval(q[::-1], x)) <= bound:
+                pts.append((b1 + x * b2, k))
+    return pts
+
+
+def _add_factors(f: ProjMap, points, factors):
+    """Lines through equal-order points of the two probes that J vanishes along."""
+    for (p1, k), (p2, k2) in itertools.product(*points):
+        if k != k2 or not _line_divides_jacobian(f, np.cross(p1, p2)):
             continue
-        c = _canonical_coeffs(cand)
-        if all(np.linalg.norm(c - o.coeffs) > 1e-5 for o in out):
-            out.append(HomogPoly3(1, c))
-    out.sort(key=lambda p: tuple(np.round(np.abs(p.coeffs), 6)))
-    return out
+        ell = _polish_factor(f.lift_jacobian, np.cross(p1, p2), k + 1)
+        if ell is None or not _line_divides_jacobian(f, ell):
+            continue
+        # dividing by the largest entry first makes coordinate lines exact
+        c = _canonical_coeffs(ell / ell[np.argmax(np.abs(ell))])
+        if all(np.linalg.norm(c - o) > 1e-5 for o, _ in factors):
+            factors.append((c, k + 1))
+
+
+def _polish_factor(J, ell, m):
+    """Newton steps on the line of an m-fold factor of J; None unless they converge.
+
+    About the line, J(b1 + u b2 + e nrm) = sum_k C_k(u) e^k with C_0, ...,
+    C_(m-1) zero at the factor.  Moving the line to e = a + b u changes
+    C_(m-1) by m C_m (a + b u) to first order: a regular equation for (a, b).
+    """
+    n = J.degree
+    grid = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    for _ in range(8):
+        nrm = np.conj(ell) / np.linalg.norm(ell)
+        b1, b2 = InvariantLine(HomogPoly3(1, ell), 0.0, 0.0).basis()
+        pts = b1 + grid[:, None, None] * b2 + grid[None, :, None] * nrm
+        C = np.fft.fft2(J.eval_batch(pts.reshape(-1, 3)).reshape(n + 1, n + 1)) / (n + 1) ** 2
+        col = m * C[:, m]
+        A = np.stack([col, np.roll(col, 1)], axis=1)  # m C_m and m u C_m
+        (a, b), *_ = np.linalg.lstsq(A, -C[:, m - 1], rcond=None)
+        ell = np.cross(b1 + a * nrm, b2 + b * nrm)
+        if max(abs(a), abs(b)) <= 1e-10:
+            return ell
+    return None
+
+
+def _deflate(p, b1, b2, factors):
+    """p with the roots of the factors divided out; a factor through b2 has none in p."""
+    roots = []
+    for c, m in factors:
+        a, b = np.dot(c, b1), np.dot(c, b2)  # the factor along the probe: a + b x
+        if abs(b) > 1e-12 * abs(a):
+            roots += [-a / b] * m
+    return strip_trailing(np.polydiv(p[::-1], np.poly(roots))[0][::-1])
 
 
 def _component_sample(f: ProjMap, comp: HomogPoly3, others, seed=17):
@@ -575,16 +523,15 @@ def _transverse_direction(comp: HomogPoly3, x: ProjPoint):
     return np.conj(grad) / n
 
 
-def _arc_vanishing_order(pulled: HomogPoly3, x: ProjPoint, v, s_grid=None) -> int:
-    if s_grid is None:
-        s_grid = np.geomspace(1e-3, 1e-6, 8)
+def _arc_vanishing_order(pulled: HomogPoly3, x: ProjPoint, v) -> int:
+    s_grid = np.geomspace(1e-3, 1e-6, 8)
     vals = np.array([abs(pulled(x.coords + s * v)) for s in s_grid])
-    scale = max(pulled.coeff_norm, 1e-300)
-    if np.max(vals) <= 1e-12 * scale:
+    # values under the rounding floor of the evaluation carry no slope
+    keep = vals > 1e-13 * max(pulled.coeff_norm, 1e-300)
+    if keep.sum() < 2:
         # vanishes beyond slope resolution: the order is the full arc degree
         raise NonIntegerOrder("pullback vanishes identically along the arc")
-    vals = np.maximum(vals, 1e-290)
-    slope, resid = _slope_fit(np.log(s_grid), np.log(vals))
+    slope, resid = _slope_fit(np.log(s_grid[keep]), np.log(vals[keep]))
     order = round(slope)
     if abs(slope - order) > 0.1 or order < 0:
         raise NonIntegerOrder(f"fitted slope {slope:.3f} is not an integer order")

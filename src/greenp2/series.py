@@ -52,16 +52,6 @@ class AffineSeries2:
         s.coeffs[0, 0] = value
         return s
 
-    @classmethod
-    def coordinate(cls, which: int, trunc, base_point=(0.0, 0.0)):
-        """The local coordinate u (which=0) or v (which=1) as a series."""
-        s = cls(trunc, base_point=base_point)
-        if which == 0:
-            s.coeffs[1, 0] = 1.0
-        else:
-            s.coeffs[0, 1] = 1.0
-        return s
-
     def copy(self):
         out = AffineSeries2(self.trunc, base_point=self.base_point)
         out.coeffs[:] = self.coeffs

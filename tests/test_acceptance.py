@@ -181,14 +181,15 @@ def test_criterion_06_power_map_structure(power_map):
 
 def test_criterion_07_configuration_round_trip():
     failures = []
-    for rid in CONFIGURATION_IDS:
-        for seed in range(10):
-            f = configuration_map(rid, 2, rng_seed=1000 + seed)
-            row = classify(exceptional_sets(f, 3))
-            if row.row_id != rid:
-                failures.append((rid, seed, row.row_id))
+    for d in (2, 3):
+        for rid in CONFIGURATION_IDS:
+            for seed in range(10):
+                f = configuration_map(rid, d, rng_seed=1000 + seed)
+                row = classify(exceptional_sets(f, 3))
+                if row.row_id != rid:
+                    failures.append((d, rid, seed, row.row_id))
     assert failures == []
-    _report(7, f"classify(generate(row)) = row for all {len(CONFIGURATION_IDS)} rows x 10 seeds")
+    _report(7, f"classify(generate(row)) = row for all {len(CONFIGURATION_IDS)} rows x 10 seeds at d = 2, 3")
 
 
 def test_criterion_08_lattes_quotient(lattes):

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_map, random_valid_map
-from greenp2 import ProjPoint, parse_poly
+from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, parse_poly
+from greenp2.generators import _build_row
 from greenp2.invariant_sets import (
+    _canonical_coeffs,
     classify,
     conjugacy_check,
+    detect_linear_critical_components,
     exceptional_sets,
     invariant_lines,
     invariant_points,
@@ -13,10 +16,60 @@ from greenp2.invariant_sets import (
     transition_matrix,
 )
 from greenp2.multiplicities import jacobian_multiplicity
+from greenp2.polys import HomogPoly3
 
 
 def line_names(lines):
     return sorted(L.form.to_string() for L in lines)
+
+
+def row_map(row, d, seed=1000):
+    """The configuration map of a row; from d = 4 on unvalidated, since
+    ``ProjMap.validate`` rejects some valid maps there."""
+    if d <= 3:
+        return configuration_map(row, d, seed)
+    rng = np.random.default_rng(seed)
+    while True:
+        comps, guards = _build_row(row, d, rng)
+        if all(abs(g) >= 0.05 for g in guards):
+            return ProjMap(comps, 1.0)
+
+
+def conjugate(f, A):
+    """A^-1 o f o A for an invertible 3x3 matrix A."""
+    inner = tuple(HomogPoly3(1, row) for row in A)
+    moved = [c.compose(inner) for c in f.components]
+    inv = np.linalg.inv(A)
+    comps = [moved[0].scale(inv[i, 0]) + moved[1].scale(inv[i, 1]) + moved[2].scale(inv[i, 2])
+             for i in range(3)]
+    return ProjMap(comps, f.nondegeneracy_residual)
+
+
+def rotations(f, count, seed):
+    """f conjugated by ``count`` seeded diagonal unitary matrices diag(e^ia, e^ib, 1)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        phases = np.append(np.exp(2j * np.pi * rng.uniform(size=2)), 1.0)
+        yield conjugate(f, np.diag(phases))
+
+
+def normal_form_factor_count(row, d):
+    """Distinct linear factors of the Jacobian in each row's normal form.
+
+    At d = 2 the degree d - 1 factors Q_w, d w + t Q_w, P_z and 2 z + ... are
+    lines too.
+    """
+    return {
+        "1-0": 1,  # t^(d-1) (P_z Q_w - P_w Q_z)
+        "0-1": 2 * (d - 1) + (d == 2),  # Q_w (P_z R_t - P_t R_z)
+        "1-1-incident": 1,
+        "1-1-free": 2 * (d - 1) + 1,  # t^(d-1) (P_z Q_w - P_w Q_z) in (z, w)
+        "1-2": d + (d == 2),  # t^(d-1) P_z (d w^(d-1) + t Q_w)
+        "2-1": 2 + (d == 2),  # (w t)^(d-1) P_z
+        "2-2": 2 + (d == 2),
+        "2-3": 2 + (d == 2),
+        "3-3": 3,
+    }[row]
 
 
 class TestInvariantLines:
@@ -54,6 +107,44 @@ class TestInvariantLines:
         for line in invariant_lines(power_map):
             for p in line.sample_points(5, seed=3):
                 assert jacobian_multiplicity(power_map, p, 1) == 1
+
+
+class TestLinearFactors:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_count_matches_normal_form_under_rotation(self, d):
+        wrong = []
+        for row in CONFIGURATION_IDS:
+            f = row_map(row, d)
+            counts = [len(detect_linear_critical_components(g)) for g in (f, *rotations(f, 4, d))]
+            if counts != [normal_form_factor_count(row, d)] * 5:
+                wrong.append((row, counts))
+        assert wrong == []
+
+    def test_power_map_d4_has_three_factors(self):
+        f = make_map("z^4", "w^4", "t^4")
+        assert [c.to_string() for c in detect_linear_critical_components(f)] == ["t", "w", "z"]
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_coordinate_lines_are_exact(self, d):
+        expected = {"1-0": "t", "1-1-incident": "t", "1-1-free": "t", "1-2": "t",
+                    "2-1": "tw", "2-2": "tw", "2-3": "tw", "3-3": "twz", "0-1": ""}
+        for row in CONFIGURATION_IDS:
+            lines = invariant_lines(row_map(row, d))
+            assert "".join(line_names(lines)) == expected[row], row
+            for L in lines:
+                assert np.array_equal(L.form.coeffs, np.eye(3)["zwt".index(L.form.to_string())]), row
+                assert L.residual == 0.0
+
+    @pytest.mark.parametrize("row, d", [("3-3", 2), ("2-2", 3)])
+    def test_lines_follow_a_linear_conjugacy(self, row, d):
+        f = configuration_map(row, d, 1000)
+        rng = np.random.default_rng(31)
+        A = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        lines = invariant_lines(conjugate(f, A))
+        moved = [_canonical_coeffs(L.form.coeffs @ A) for L in invariant_lines(f)]
+        assert len(lines) == len(moved) > 0
+        for L in lines:
+            assert min(np.linalg.norm(L.form.coeffs - m) for m in moved) <= 1e-10
 
 
 class TestLineRestriction:
