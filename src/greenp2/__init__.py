@@ -18,7 +18,6 @@ from .errors import (
     GreenP2Error,
     IllConditioned,
     IncompleteFiber,
-    NoConvergence,
     NonIntegerOrder,
     NotSuperattracting,
     OnCurve,
@@ -26,7 +25,6 @@ from .errors import (
     ParseError,
     PositiveDimensional,
     SolverFailure,
-    Unstable,
 )
 from .generators import CONFIGURATION_IDS, configuration_map, lattes_map
 from .invariant_sets import (

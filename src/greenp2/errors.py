@@ -13,20 +13,14 @@ class OrderExceedsTruncation(GreenP2Error):
     """Every retained series coefficient is below tolerance; raise the truncation."""
 
 
-class NoConvergence(GreenP2Error):
-    """Root iteration hit its iteration cap; best iterates are attached."""
-
-    def __init__(self, message, roots=None):
-        super().__init__(message)
-        self.roots = roots
-
-
 class PositiveDimensional(GreenP2Error):
-    """The polynomial system has a curve of solutions (resultant vanishes)."""
+    """A polynomial system, or a pair of germs, has a curve of common zeros."""
 
 
 class IllConditioned(GreenP2Error):
-    """Back-substitution could not pick a fiber unambiguously."""
+    """A numerical decision had no clear margin: a back-substitution could not pick
+    a fiber, or a Macaulay matrix showed no gap between its kept and dropped
+    singular values."""
 
 
 class DegenerateMap(GreenP2Error):
@@ -51,14 +45,6 @@ class SolverFailure(GreenP2Error):
 
 class IncompleteFiber(GreenP2Error):
     """Multiplicities across charts do not reach the expected intersection count."""
-
-
-class Unstable(GreenP2Error):
-    """Local degree counting never stabilized; the count sequence is attached."""
-
-    def __init__(self, message, counts=None):
-        super().__init__(message)
-        self.counts = counts
 
 
 class NonIntegerOrder(GreenP2Error):

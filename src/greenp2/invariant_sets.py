@@ -405,10 +405,15 @@ def _add_factors(f: ProjMap, points, factors):
         ell = _polish_factor(f.lift_jacobian, np.cross(p1, p2), k + 1)
         if ell is None or not _line_divides_jacobian(f, ell):
             continue
-        # dividing by the largest entry first makes coordinate lines exact
-        c = _canonical_coeffs(ell / ell[np.argmax(np.abs(ell))])
+        c = _factor_coeffs(ell)
         if all(np.linalg.norm(c - o) > 1e-5 for o, _ in factors):
             factors.append((c, k + 1))
+
+
+def _factor_coeffs(ell):
+    """Canonical coefficients of a line; dividing by the largest entry first
+    makes coordinate lines exact."""
+    return _canonical_coeffs(ell / ell[np.argmax(np.abs(ell))])
 
 
 def _polish_factor(J, ell, m):
@@ -501,8 +506,14 @@ def transition_matrix(f: ProjMap, components=None, seed=17) -> TransitionMatrix:
 
 
 def _divides_jacobian(f: ProjMap, comp: HomogPoly3) -> bool:
+    """Does comp divide the lift Jacobian?  A line must be one of its linear factors.
+
+    The Jacobian stays below the vanishing test's tolerance along lines up to
+    about (1e-7)^(1/m) from an m-fold factor, so the test alone accepts them.
+    """
     if comp.degree == 1:
-        return _line_divides_jacobian(f, comp.coeffs)
+        c = _factor_coeffs(comp.coeffs)
+        return any(np.linalg.norm(c - o.coeffs) <= 1e-5 for o in _linear_factors(f))
     others: list = []
     try:
         for s in range(3):
@@ -847,18 +858,21 @@ def _normalize_skew(G, D: int):
 
 
 def _orthonormal_completion(v):
-    M = np.eye(3, dtype=complex)
-    idx = int(np.argmin(np.abs(v)))
-    basis = [M[idx], M[(idx + 1) % 3]]
+    """Two orthonormal vectors Hermitian-orthogonal to the unit vector v.
+
+    They come from the unit vectors in order of increasing |v_i|; one nearly
+    parallel to v is skipped.
+    """
     out = []
-    for b in basis:
-        w = b - np.vdot(v, b) * v
+    for i in np.argsort(np.abs(v)):
+        w = np.eye(3, dtype=complex)[i] - np.conj(v[i]) * v
         for o in out:
             w = w - np.vdot(o, w) * o
         n = np.linalg.norm(w)
         if n > 1e-8:
             out.append(w / n)
-    return out
+        if len(out) == 2:
+            return out
 
 
 def _binary_part(poly: HomogPoly3, D: int):

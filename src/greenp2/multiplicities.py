@@ -5,7 +5,8 @@ Three quantities are tracked for a map f and a point p:
 * the vanishing order of the Jacobian of the n-th iterate at p, accumulated
   additively as sum_j ord_p(Jf o f^j);
 * the local topological degree of the n-th iterate, accumulated
-  multiplicatively from per-step fiber counts;
+  multiplicatively from the per-step local degrees e(f, f^j p), each the
+  local intersection number of f - f(f^j p) at f^j p;
 * the contraction order: the lowest total degree in the Taylor expansion of
   the n-th iterate at p (both p and f^n p recentered to the origin).
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrderExceedsTruncation, Unstable
+from .errors import OrderExceedsTruncation
 from .maps import ProjMap, ProjPoint
 from .polys import jacobian_det
 from .series import (
@@ -32,12 +33,6 @@ from .series import (
     local_multiplicity,
     vanishing_order,
 )
-
-#: fixed unit-ish perturbation direction for local degree counting
-_DIR = np.array([0.6 + 0.48j, -0.36 + 0.528j])
-
-_LADDER_RHO_FACTOR = 10.0
-
 
 def _trunc_schedule(d: int, n: int):
     trunc = max(2 * d, 4)
@@ -164,40 +159,8 @@ def local_degree(f: ProjMap, p: ProjPoint, n: int) -> int:
 
 
 def local_degree_step(f: ProjMap, q: ProjPoint) -> int:
-    """Degree of the germ of f at q via stabilized counting of nearby preimages.
-
-    A perturbation ladder shrinks a generic target toward f(q); the count of
-    preimages (with clustered multiplicity) inside the shrinking locality must
-    agree on three consecutive rungs.  The multiplicity of q in the exact
-    fiber is the fallback when the ladder cannot separate fiber points.
-    """
-    fq = f.apply(q)
-    fiber = f.preimages(fq)
-    match_tol = 1e-3
-    mine = [(x, m) for x, m in fiber.preimages if q.dist(x) <= match_tol]
-    if not mine:
-        raise Unstable(f"fiber over f({q}) misses the base point")
-    e_exact = sum(m for _, m in mine)
-    other = [q.dist(x) for x, _ in fiber.preimages if q.dist(x) > match_tol]
-    if not other:
-        return e_exact  # the whole fiber sits at q: totally invariant point
-    sep = min(other)
-    if sep <= 20 * match_tol:
-        return e_exact
-    e_max = f.degree**2
-    delta_star = min(1e-4, (sep / (2 * _LADDER_RHO_FACTOR)) ** e_max)
-    chart = fq.chart()
-    base = np.array(fq.chart_coords(chart))
-    counts = []
-    for k in range(3):
-        delta = delta_star / 10.0**k
-        target = ProjPoint.from_chart(chart, base + delta * _DIR)
-        rho = _LADDER_RHO_FACTOR * delta ** (1.0 / e_max)
-        fib = f.preimages(target)
-        counts.append(sum(m for x, m in fib.preimages if q.dist(x) <= rho))
-    if counts[0] == counts[1] == counts[2]:
-        return counts[0]
-    return e_exact
+    """Degree of the germ of f at q, the local intersection number of f - f(q)."""
+    return local_degree_direct(f, q, 1)
 
 
 # -- whole-report driver ---------------------------------------------------------

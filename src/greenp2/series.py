@@ -11,19 +11,11 @@ from math import comb
 
 import numpy as np
 
-from .errors import OrderExceedsTruncation, PositiveDimensional
+from .errors import IllConditioned, OrderExceedsTruncation, PositiveDimensional
 from .roots import roots_univariate
 
 #: default relative tolerance for treating a coefficient as zero
 EPS_COEF = 1e-9
-
-#: fixed generic shear direction used by local resultants
-SHEAR = complex(np.cos(1.0), np.sin(1.0))
-
-# branch probes for local germs sit at moderate radius so a high-order
-# tangency (residual ~ s^k along the other branch) stays clearly above the
-# hit tolerance
-_GERM_PROBES = (0.7117 + 0.4111j, -0.5512 + 0.6643j, 0.3825 - 0.7332j)
 
 
 class AffineSeries2:
@@ -235,6 +227,75 @@ def compose_poly_series(P: np.ndarray, s1: AffineSeries2, s2: AffineSeries2) -> 
 
 # -- local intersection number at the origin ------------------------------------
 
+#: singular values of the Macaulay matrix of the scaled germs at or below this
+#: floor count as rank deficiency
+_RANK_FLOOR = 1e-11
+
+#: least ratio of the smallest kept to the largest dropped singular value
+_RANK_GAP = 1e4
+
+
+def local_multiplicity(g1: AffineSeries2, g2: AffineSeries2) -> int:
+    """Intersection multiplicity dim C[[u, v]]/(g1, g2) at the origin.
+
+    Both germs vanish at the origin and are read as polynomials, so the count
+    is exact when their degrees are within the truncation.  With each germ
+    scaled by its largest coefficient, h(k) is the number of monomials of
+    degree <= k minus the rank of the Macaulay matrix whose rows are
+    u^a v^b g_i, a + b < k, cut at degree k: the local Hilbert-Samuel function
+    dim C[[u, v]]/((g1, g2) + m^(k+1)).  It rises strictly until
+    h(k) = h(k + 1); then m^(k+1) lies in the ideal by Nakayama's lemma, and
+    h(k) is the multiplicity (Dayton & Zeng, ISSAC 2005).  A pair sharing a
+    branch never settles, and its h(k) passes the Bezout bound
+    deg g1 * deg g2.
+    """
+    if min(g1.max_abs(), g2.max_abs()) == 0.0:
+        raise PositiveDimensional("a germ vanishes identically within truncation")
+    germs = [g.coeffs / g.max_abs() for g in (g1, g2)]
+    bound = _degree(germs[0]) * _degree(germs[1])
+    k, h = 1, _hilbert_samuel(germs, 1)
+    while True:
+        if h > bound:
+            raise PositiveDimensional(
+                f"h({k}) = {h} exceeds the Bezout bound {bound}: the germs share a branch"
+            )
+        h_next = _hilbert_samuel(germs, k + 1)
+        if h_next == h:
+            return h
+        k, h = k + 1, h_next
+
+
+def _degree(C) -> int:
+    i, j = np.nonzero(C)
+    return int(np.max(i + j))
+
+
+def _hilbert_samuel(germs, k: int) -> int:
+    """h(k): monomials of degree <= k minus the rank of the truncated Macaulay matrix."""
+    n = k + 1
+    r = np.arange(n)
+    deg = r[:, None] + r[None, :]
+    a, b = np.nonzero(deg < k)  # the shifts u^a v^b
+    blocks = []
+    for C in germs:
+        Z = np.zeros((2 * n, 2 * n), dtype=complex)
+        m = min(n, C.shape[0])
+        Z[n : n + m, n : n + m] = C[:m, :m]
+        # W[x, y] = Z[x : x + n, y : y + n], so W[n - a, n - b] holds u^a v^b g
+        W = np.lib.stride_tricks.sliding_window_view(Z, (n, n))
+        blocks.append(W[n - a, n - b][:, deg <= k])
+    sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    kept, dropped = sv[sv > _RANK_FLOOR], sv[sv <= _RANK_FLOOR]
+    if len(kept) and len(dropped) and kept[-1] < _RANK_GAP * dropped[0]:
+        raise IllConditioned(
+            f"no rank gap in the degree-{k} Macaulay matrix: singular values "
+            f"{kept[-1]:.2e} kept, {dropped[0]:.2e} dropped"
+        )
+    return int(np.count_nonzero(deg <= k)) - len(kept)
+
+
+# -- sheared resultants (shared by the affine solver and the generators) ---------
+
 
 def shear_series(C: np.ndarray, lam: complex) -> np.ndarray:
     """Coefficients of g(s - lam*v, v) given coefficients of g(u, v)."""
@@ -254,50 +315,6 @@ def shear_series(C: np.ndarray, lam: complex) -> np.ndarray:
             for r in range(a + 1):
                 out[a - r, b + r] += c * binoms[r] * lam_pows[r]
     return out
-
-
-def local_multiplicity(g1: AffineSeries2, g2: AffineSeries2, rel_tol: float = EPS_COEF) -> int:
-    """Intersection multiplicity at the origin of two series germs.
-
-    Both series must have zero constant term and an isolated common zero at
-    the origin within the truncation.  Counted as the winding number of the
-    sheared resultant around shrinking circles: contour counting stays exact
-    where interpolated resultant coefficients would span too many orders of
-    magnitude to represent.
-    """
-    A = _trim(g1.coeffs, rel_tol)
-    B = _trim(g2.coeffs, rel_tol)
-    if _is_zero_germ(A) or _is_zero_germ(B):
-        raise PositiveDimensional("a germ vanishes identically within truncation")
-    A = shear_series(A, SHEAR)
-    B = shear_series(B, SHEAR)
-    degv_a = _v_degree(A, rel_tol)
-    degv_b = _v_degree(B, rel_tol)
-    if degv_a == 0 or degv_b == 0:
-        return 0  # one germ is a unit at the origin
-    A = A[:, : degv_a + 1]
-    B = B[:, : degv_b + 1]
-    # scan annuli small to large: the smallest countable pair is the most
-    # local one; higher multiplicities push the resultant below the rounding
-    # floor on small circles and are only countable further out
-    counts = []
-    for rho in (0.04, 0.1, 0.22, 0.45):
-        w_inner = _winding(A, B, rho)
-        w_outer = _winding(A, B, 1.5 * rho)
-        counts.append((rho, w_inner, w_outer))
-        if w_inner is not None and w_inner == w_outer:
-            return w_inner
-    # a genuinely shared branch keeps every contour on the noise floor; a
-    # high-order near-tangency can too, so the probe only breaks the tie
-    if _share_probe(A, B, _GERM_PROBES, 1e-8):
-        raise PositiveDimensional("germs share a branch within truncation")
-    raise OrderExceedsTruncation(
-        f"no stable counting annulus for the local resultant: {counts}"
-    )
-
-
-def _is_zero_germ(C):
-    return float(np.max(np.abs(C))) == 0.0
 
 
 def _share_probe(A, B, probes, tol):
@@ -325,24 +342,6 @@ def _share_probe(A, B, probes, tol):
     return True
 
 
-def _winding(A, B, rho, samples=256):
-    """Winding number of the local resultant along |s| = rho, or None."""
-    theta = np.exp(2j * np.pi * np.arange(samples) / samples)
-    dets = _sylvester_dets(A, B, rho * theta)
-    mags = np.abs(dets)
-    if np.min(mags) <= 1e-280 or np.min(mags) <= 1e-13 * np.max(mags):
-        return None  # a root sits on (or hugs) the contour
-    phases = dets / mags
-    steps = np.angle(phases * np.conj(np.roll(phases, 1)))
-    if np.max(np.abs(steps)) > 2.5:
-        return None  # undersampled arc
-    total = float(np.sum(steps) / (2.0 * np.pi))
-    rounded = round(total)
-    if abs(total - rounded) > 0.2 or rounded < 0:
-        return None
-    return int(rounded)
-
-
 def _sylvester_dets(A, B, s_values):
     """Sylvester determinants in v of A(s, v) and B(s, v) at each s value.
 
@@ -362,20 +361,3 @@ def _sylvester_dets(A, B, s_values):
     for r in range(na):
         M[:, nb + r, r : r + nb + 1] = Bv[:, ::-1]
     return np.linalg.det(M)
-
-
-def _trim(C, rel_tol):
-    mags = np.abs(C)
-    top = mags.max()
-    if top == 0:
-        return C[:1, :1].copy()
-    out = C.copy()
-    out[mags <= rel_tol * top] = 0.0
-    return out
-
-
-def _v_degree(C, rel_tol):
-    colmax = np.max(np.abs(C), axis=0)
-    top = colmax.max()
-    alive = np.nonzero(colmax > rel_tol * top)[0] if top > 0 else []
-    return int(alive[-1]) if len(alive) else -1

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from greenp2 import ProjMap, parse_poly
+from greenp2 import ProjMap, ProjPoint, parse_poly
+from greenp2.polys import HomogPoly3, n_monomials
+from greenp2.roots import roots_univariate
 
 
 def make_map(*exprs):
@@ -31,8 +34,6 @@ def lattes():
 
 
 def random_valid_map(rng, d=2):
-    from greenp2.polys import HomogPoly3, n_monomials
-
     while True:
         comps = [
             HomogPoly3(
@@ -45,3 +46,30 @@ def random_valid_map(rng, d=2):
             return ProjMap.validate(comps, sphere_samples=200)
         except Exception:
             continue
+
+
+def conjugate(f, A):
+    """A^-1 o f o A for an invertible 3x3 matrix A."""
+    inner = tuple(HomogPoly3(1, row) for row in A)
+    moved = [c.compose(inner) for c in f.components]
+    inv = np.linalg.inv(A)
+    comps = [moved[0].scale(inv[i, 0]) + moved[1].scale(inv[i, 1]) + moved[2].scale(inv[i, 2])
+             for i in range(3)]
+    return ProjMap(comps, f.nondegeneracy_residual)
+
+
+def sample_critical_points(f, count, rng):
+    """Machine-polished points on the critical curve, away from singular spots."""
+    J = f.lift_jacobian
+    pts = []
+    while len(pts) < count:
+        b1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        b2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        b1, b2 = b1 / np.linalg.norm(b1), b2 / np.linalg.norm(b2)
+        co = J.restrict_line(b1, b2)
+        for cl in roots_univariate(co).clusters:
+            if cl.multiplicity == 1:
+                pts.append(ProjPoint(b1 + cl.root * b2))
+                if len(pts) >= count:
+                    break
+    return pts

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from conftest import random_valid_map
+from conftest import random_valid_map, sample_critical_points
 from greenp2 import (
     CONFIGURATION_IDS,
     ProjPoint,
@@ -42,29 +42,11 @@ from greenp2.potentials import (
     sublevel_volume,
     volume_decay,
 )
-from greenp2.roots import roots_univariate
 from greenp2.sampling import fs_points
 
 
 def _report(num, text):
     print(f"PASS criterion {num}: {text}")
-
-
-def _sample_critical_points(f, count, rng):
-    """Machine-polished points on the critical curve, away from singular spots."""
-    J = f.lift_jacobian
-    pts = []
-    while len(pts) < count:
-        b1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b1, b2 = b1 / np.linalg.norm(b1), b2 / np.linalg.norm(b2)
-        co = J.restrict_line(b1, b2)
-        for cl in roots_univariate(co).clusters:
-            if cl.multiplicity == 1:
-                pts.append(ProjPoint(b1 + cl.root * b2))
-                if len(pts) >= count:
-                    break
-    return pts
 
 
 def test_criterion_01_green_closed_form(power_map):
@@ -96,7 +78,7 @@ def test_criterion_03_inequality_suite():
     for trial in range(50):
         d = 2 if trial % 2 == 0 else 3
         f = random_valid_map(rng, d=d)
-        for p in _sample_critical_points(f, 20, rng):
+        for p in sample_critical_points(f, 20, rng):
             mu = jacobian_multiplicity(f, p, 1)
             c = contraction_order(f, p, 1)
             e = local_degree_step(f, p)
@@ -119,7 +101,7 @@ def test_criterion_04_cocycle_laws(power_map, worked_map):
         (worked_map, ProjPoint([1, 0, 1])),
     ]
     f_rand = random_valid_map(rng)
-    corpus.append((f_rand, _sample_critical_points(f_rand, 1, rng)[0]))
+    corpus.append((f_rand, sample_critical_points(f_rand, 1, rng)[0]))
     pairs = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]
     checked = 0
     for f, p in corpus:
@@ -129,8 +111,10 @@ def test_criterion_04_cocycle_laws(power_map, worked_map):
             # additive law, left side off the composed lift
             lhs_mu = jacobian_multiplicity_direct(f, p, n + k)
             assert lhs_mu == rep.jacobian_orders[n - 1] + sum(rep.jacobian_terms[n : n + k])
-            # multiplicative law, left side a local intersection number where
-            # double precision can resolve it
+            # multiplicative law, left side a local intersection number on the
+            # composed lift; its Macaulay rank gap narrows as the lift's degree
+            # grows (6e9 at e = 16 on [1:0:1] of z^2:w^2:t^2, about 12 at
+            # e = 32, where the count refuses), so it runs up to e = 16
             expected_e = rep.local_degrees[n + k - 1]
             if expected_e <= 16:
                 assert local_degree_direct(f, p, n + k) == expected_e

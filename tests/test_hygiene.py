@@ -1,6 +1,7 @@
-"""Dead-code guard: every private module-level function and constant of the library is used.
+"""Dead-code guard: every private module-level function and constant of the library is
+used, and every error class is raised.
 
-Public names are not checked, because tests use some of them as oracles.
+Other public names are not checked, because tests use some of them as oracles.
 """
 
 import ast
@@ -56,3 +57,32 @@ def test_private_functions_are_referenced():
 
 def test_private_constants_are_referenced():
     assert [name for name, is_function in _unreferenced_private_names(SRC) if not is_function] == []
+
+
+def _raised_error_classes(src_dir):
+    """Classes of errors.py that some raise statement of the library raises, with their bases."""
+    tree = ast.parse((src_dir / "errors.py").read_text(encoding="utf-8"))
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for path in src_dir.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    # raising a subclass raises its bases too
+    stack = [name for name in raised if name in bases]
+    while stack:
+        for base in bases[stack.pop()]:
+            if base in bases and base not in raised:
+                raised.add(base)
+                stack.append(base)
+    return bases, raised
+
+
+def test_error_classes_are_raised():
+    bases, raised = _raised_error_classes(SRC)
+    assert sorted(set(bases) - raised) == []

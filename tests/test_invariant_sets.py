@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import make_map, random_valid_map
+from conftest import conjugate, make_map, random_valid_map
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, parse_poly
+from greenp2.errors import ComponentInvalid
 from greenp2.generators import _build_row
 from greenp2.invariant_sets import (
     _canonical_coeffs,
+    _divides_jacobian,
+    _orthonormal_completion,
     classify,
     conjugacy_check,
     detect_linear_critical_components,
@@ -33,16 +36,6 @@ def row_map(row, d, seed=1000):
         comps, guards = _build_row(row, d, rng)
         if all(abs(g) >= 0.05 for g in guards):
             return ProjMap(comps, 1.0)
-
-
-def conjugate(f, A):
-    """A^-1 o f o A for an invertible 3x3 matrix A."""
-    inner = tuple(HomogPoly3(1, row) for row in A)
-    moved = [c.compose(inner) for c in f.components]
-    inv = np.linalg.inv(A)
-    comps = [moved[0].scale(inv[i, 0]) + moved[1].scale(inv[i, 1]) + moved[2].scale(inv[i, 2])
-             for i in range(3)]
-    return ProjMap(comps, f.nondegeneracy_residual)
 
 
 def rotations(f, count, seed):
@@ -219,6 +212,23 @@ class TestTransitionMatrix:
         with pytest.raises(ComponentInvalid):
             transition_matrix(power_map, components=[parse_poly("z+w+t")])
 
+    def test_offset_lines_rejected(self):
+        """w is a 4-fold factor here: the Jacobian is below 1e-7 of its norm along
+        lines up to about (1e-7)^(1/4) from w, yet these are not factors."""
+        f = row_map("2-2", 5)
+        for eps in (1e-3, 3e-3, 1e-2):
+            with pytest.raises(ComponentInvalid):
+                transition_matrix(f, components=[parse_poly(f"w + {eps}*z + {eps}*t")])
+
+    @pytest.mark.parametrize("row, d", [("2-2", 5), ("1-1-free", 3), ("0-1", 3)])
+    def test_rescaled_factors_accepted(self, row, d):
+        f = row_map(row, d)
+        factors = detect_linear_critical_components(f)
+        assert all(_divides_jacobian(f, c.scale(s)) for c in factors for s in (2.5, 0.3 - 1.5j))
+        if d <= 3:  # the arc fit of transition_matrix resolves orders up to 3
+            tm = transition_matrix(f, components=[c.scale(0.3 - 1.5j) for c in factors])
+            assert tm.matrix.tolist() == transition_matrix(f).matrix.tolist()
+
     def test_rho_matches_eigenvalue_oracle(self, power_map, worked_map, lattes):
         for f in (power_map, worked_map, lattes):
             tm = transition_matrix(f)
@@ -292,6 +302,16 @@ class TestClassify:
 
 
 class TestConjugacyCheck:
+    @pytest.mark.parametrize(
+        "v", [[1e-16, 4e-17, 1], [4e-17, 1e-16, 1], [1, 1e-16, 4e-17], [0.6, 0.8j, 0], [1, 2, 3j]]
+    )
+    def test_orthonormal_completion(self, v):
+        v = np.array(v, dtype=complex) / np.linalg.norm(v)
+        b = _orthonormal_completion(v)
+        assert len(b) == 2
+        G = np.array([[np.vdot(x, y) for y in (*b, v)] for x in (*b, v)])
+        assert np.allclose(G, np.eye(3), atol=1e-14)
+
     def test_power_corner_already_normal(self, power_map):
         rep = conjugacy_check(power_map, ProjPoint([0, 0, 1]), terms=5)
         assert rep.kind == "pencil"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_valid_map
-from greenp2 import ProjPoint
+from conftest import conjugate, random_valid_map, sample_critical_points
+from greenp2 import ProjMap, ProjPoint, parse_poly
+from greenp2.errors import IllConditioned
 from greenp2.multiplicities import (
     contraction_order,
     contraction_order_direct,
@@ -14,6 +15,7 @@ from greenp2.multiplicities import (
     local_degree_step,
     orbit_report,
 )
+from ladder_reference import ladder_local_degree
 
 CORNER = ProjPoint([0, 0, 1])
 DIAG = ProjPoint([1, 1, 1])
@@ -137,7 +139,8 @@ class TestDirectRoutes:
                 assert contraction_order_direct(f, p, n) == contraction_order(f, p, n)
 
     def test_local_degrees_match(self, power_map, worked_map):
-        """Contour counting resolves local degrees up to ~16 in doubles."""
+        """Degrees up to 16: past them the rank gap of the count on the composed
+        lift narrows towards its refusal threshold (see test_degree_multiplicative)."""
         for f, p, n in (
             (power_map, CORNER, 2),
             (power_map, EDGE, 2),
@@ -171,8 +174,10 @@ class TestCocycleLaws:
     def test_degree_multiplicative(self, power_map, worked_map):
         """Left side recomputed as a local intersection number of the iterate.
 
-        Composite degrees above ~16 sit past the double-precision resolution
-        of the contour count, so pairs are capped by the expected degree.
+        The Hilbert-Samuel count on a composed lift of degree d^n loses rank
+        gap as n grows: on [1:0:1] of z^2:w^2:t^2 the gap between kept and
+        dropped singular values is 6e9 at e = 16 and about 12 at e = 32,
+        where the count refuses.  So pairs are capped by the expected degree.
         """
         for f in (power_map, worked_map):
             for p in self.points(f):
@@ -221,3 +226,65 @@ def test_local_degree_step_stability(power_map):
     assert local_degree_step(power_map, CORNER) == 4
     assert local_degree_step(power_map, EDGE) == 2
     assert local_degree_step(power_map, DIAG) == 1
+
+
+def power(d):
+    """z^d : w^d : t^d, unvalidated (validation rejects it at d = 5)."""
+    return ProjMap([parse_poly(f"{v}^{d}") for v in "zwt"], 1.0)
+
+
+#: vertex, edge and generic points of the power maps, with their local degrees
+POWER_POINTS = (([0, 0, 1], 2), ([1, 0, 1], 1), ([0.3, 0.7 + 0.2j, 1], 0))
+
+
+def _conjugate_degrees(f, A):
+    """local_degree_step at the images of POWER_POINTS under A^-1."""
+    inv = np.linalg.inv(A)
+    return [local_degree_step(f, ProjPoint(inv @ np.array(p, dtype=complex))) for p, _ in POWER_POINTS]
+
+
+class TestHilbertSamuelCount:
+    """local_degree_step counts dim C[[x, y]]/(g1, g2) for the germs of f - f(q)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_power_map(self, d):
+        degrees = [local_degree_step(power(d), ProjPoint(p)) for p, _ in POWER_POINTS]
+        assert degrees == [d**k for _, k in POWER_POINTS]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_unitary_conjugate(self, d):
+        rng = np.random.default_rng(60 + d)
+        A = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        assert _conjugate_degrees(conjugate(power(d), A), A) == [d**k for _, k in POWER_POINTS]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_gaussian_conjugates_count_or_refuse(self, d):
+        """Badly conditioned A blur the vertex germs; the count then refuses
+        with IllConditioned and never returns a wrong degree."""
+        rng = np.random.default_rng(70 + d)
+        counted = 0
+        for _ in range(5):
+            A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            try:
+                degrees = _conjugate_degrees(conjugate(power(d), A), A)
+            except IllConditioned:
+                continue
+            assert degrees == [d**k for _, k in POWER_POINTS]
+            counted += 1
+        assert counted >= 3
+
+    def test_refuses_without_rank_gap(self):
+        """At n = 5 (e = 32) the gap is about 12 by k = 7: a typed refusal there,
+        not a wrong count and not a run on to the Bezout bound 32^2."""
+        with pytest.raises(IllConditioned):
+            local_degree_direct(power(2), EDGE, 5)
+
+    def test_matches_ladder_reference(self, power_map, worked_map):
+        rng = np.random.default_rng(91)
+        cases = [(f, p) for f in (power_map, worked_map) for p in (CORNER, EDGE, DIAG)]
+        for d in (2, 3):
+            f = random_valid_map(rng, d=d)
+            cases += [(f, p) for p in sample_critical_points(f, 6, rng)]
+        assert [local_degree_step(f, p) for f, p in cases] == [
+            ladder_local_degree(f, p) for f, p in cases
+        ]

@@ -223,3 +223,25 @@ class TestLocalMultiplicity:
         g = series_from({(0, 1): 1.0, (2, 0): -1.0}, 4)
         with pytest.raises(PositiveDimensional):
             local_multiplicity(g, g.copy())
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (5, 5), (1, 7)])
+    def test_monomial_pair(self, a, b):
+        """(u^a, v^b) has the a*b standard monomials u^i v^j, i < a, j < b."""
+        assert local_multiplicity(series_from({(a, 0): 1.0}, 8), series_from({(0, b): 1.0}, 8)) == a * b
+
+    def test_scale_free(self):
+        """Each germ is scaled by its largest coefficient before the rank test."""
+        g1 = series_from({(0, 1): 1e-9, (2, 0): -1e-9}, 4)
+        g2 = series_from({(0, 1): 1e6, (3, 0): 2e6}, 4)
+        assert local_multiplicity(g1, g2) == 2
+
+    def test_curve_pair_passes_bezout_bound(self):
+        """(v(v - u^2), v u^3) share the branch v = 0: h(k) grows past 3 * 4."""
+        g1 = series_from({(0, 2): 1.0, (2, 1): -1.0}, 6)
+        g2 = series_from({(3, 1): 1.0}, 6)
+        with pytest.raises(PositiveDimensional):
+            local_multiplicity(g1, g2)
+
+    def test_zero_germ_raises(self):
+        with pytest.raises(PositiveDimensional):
+            local_multiplicity(AffineSeries2(4), series_from({(1, 0): 1.0}, 4))
