@@ -553,9 +553,19 @@ def _perron(t: np.ndarray, tol=1e-12, max_iter=200000):
     """Spectral radius and non-negative eigenvector of t^T by power iteration.
 
     Iterates on t^T + I so periodic (permutation-like) parts still converge;
-    the shift leaves eigenvectors alone and adds one to the radius.
+    the shift leaves eigenvectors alone and adds one to the radius.  A
+    nilpotent t makes t^T + I a single Jordan block, on which the iteration
+    only creeps towards its limit, so that case is settled exactly first.
     """
     k = t.shape[0]
+    # t is non-negative, so t^k = 0 exactly when the chain 1, t^T 1, (t^T)^2 1,
+    # ... reaches 0 within k steps; its last nonzero vector is then in ker t^T
+    v = np.ones(k, dtype=np.int64)
+    for _ in range(k):
+        w = t.T @ v
+        if not w.any():
+            return 0.0, v / np.max(v)
+        v = w
     M = t.T.astype(float) + np.eye(k)
     x = np.ones(k) / k
     lam = 1.0

@@ -15,7 +15,7 @@ from .errors import (
     PositiveDimensional,
     SolverFailure,
 )
-from .polys import HomogPoly3, compose_map, jacobian_det
+from .polys import HomogPoly3, compose_map, jacobian_det, monomial_table
 from .roots import CLUSTER_RADIUS
 from .sampling import fs_points
 from .systems import solve_affine_system
@@ -145,8 +145,8 @@ class ProjMap:
         witness = _common_zero(comps)
         if witness is not None:
             raise DegenerateMap(f"components vanish simultaneously at {witness}", point=witness)
-        pts = fs_points(sphere_samples, _CERT_SEED)
-        vals = np.stack([p.eval_batch(pts) for p in comps], axis=1)
+        table = monomial_table(fs_points(sphere_samples, _CERT_SEED), degs[0])
+        vals = np.stack([table @ p.coeffs for p in comps], axis=1)
         residual = float(np.min(np.linalg.norm(vals, axis=1)))
         if residual <= 0.0:
             raise DegenerateMap("a sphere sample evaluates to zero", point=None)
@@ -159,7 +159,8 @@ class ProjMap:
         single = pts.ndim == 1
         if single:
             pts = pts.reshape(1, 3)
-        out = np.stack([p.eval_batch(pts) for p in self.components], axis=1)
+        table = monomial_table(pts, self.degree)
+        out = np.stack([table @ p.coeffs for p in self.components], axis=1)
         return out[0] if single else out
 
     def apply(self, x: ProjPoint) -> ProjPoint:

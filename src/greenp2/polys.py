@@ -34,6 +34,25 @@ def monomial_exponents(degree: int) -> np.ndarray:
     return out
 
 
+def monomial_table(pts: np.ndarray, degree: int) -> np.ndarray:
+    """(N, m) table of the degree-`degree` monomials at an (N, 3) complex array.
+
+    Column order is storage order, so ``table @ p.coeffs`` evaluates any form p
+    of that degree.  Callers evaluating several forms at the same points build
+    the table once and take one such product per form.
+    """
+    exps = monomial_exponents(degree)
+    monos = np.ones((pts.shape[0], exps.shape[0]), dtype=complex)
+    for v in range(3):
+        # powers[e] = pts[:, v] ** e by repeated multiplication
+        powers = np.empty((degree + 1, pts.shape[0]), dtype=complex)
+        powers[0] = 1.0
+        for e in range(1, degree + 1):
+            powers[e] = powers[e - 1] * pts[:, v]
+        monos *= powers[exps[:, v]].T
+    return monos
+
+
 def n_monomials(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
@@ -202,19 +221,9 @@ class HomogPoly3:
         pts = np.asarray(points, dtype=complex)
         if pts.ndim == 1:
             pts = pts.reshape(1, 3)
-        d = self.degree
-        if d == 0:
+        if self.degree == 0:
             return np.full(pts.shape[0], self.coeffs[0])
-        exps = monomial_exponents(d)
-        # power tables: pows[v][e] has shape (N,)
-        monos = np.ones((pts.shape[0], exps.shape[0]), dtype=complex)
-        for v in range(3):
-            table = np.empty((d + 1, pts.shape[0]), dtype=complex)
-            table[0] = 1.0
-            for e in range(1, d + 1):
-                table[e] = table[e - 1] * pts[:, v]
-            monos *= table[exps[:, v]].T
-        return monos @ self.coeffs
+        return monomial_table(pts, self.degree) @ self.coeffs
 
     # -- composition / restriction -------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FitUnstable, OnCurve
 from .maps import ProjMap, ProjPoint
-from .polys import HomogPoly3
+from .polys import HomogPoly3, monomial_table
 from .sampling import ball_points, fs_points, polydisk_points, rng_from, sphere_shell, torus_points
 
 #: values of a curve potential below this floor are treated as on-curve hits
@@ -321,9 +321,12 @@ def _orbit_log_jacobian(f: ProjMap, X: np.ndarray, n: int):
     logdet = np.zeros(X.shape[0])
     for _ in range(n):
         D = np.empty((X.shape[0], 3, 3), dtype=complex)
+        table = monomial_table(cur, d - 1)
         for i in range(3):
             for j in range(3):
-                D[:, i, j] = parts[i][j].eval_batch(cur)
+                D[:, i, j] = table @ parts[i][j].coeffs
+        # freed before f.lift builds its own table, so the two never coexist
+        del table
         _, ld = np.linalg.slogdet(D)
         logdet = logdet + ld + 3.0 * (d - 1) * acc
         img = f.lift(cur)
@@ -343,11 +346,12 @@ def _grid_occupancy(img: np.ndarray, grid: int):
     span = np.maximum(hi - lo, 1e-300)
     h = span / grid
     idx = np.minimum(((flat - lo) / h).astype(int), grid - 1)
-    cells = {}
-    for row, point in zip(idx, img):
-        key = tuple(row)
-        if key not in cells:
-            cells[key] = float((1.0 + np.sum(np.abs(point) ** 2)) ** -3)
+    # each occupied cell is weighted at its first point, in first-occurrence order
+    _, first = np.unique(idx, axis=0, return_index=True)
+    first.sort()
+    sq = np.sum(np.abs(img[first]) ** 2, axis=1)
+    # a scalar power per cell: the array power rounds differently in the last bit
+    weights = [float((1.0 + s) ** -3) for s in sq]
     cell_leb = float(np.prod(h))
-    vol = (2.0 / math.pi**2) * cell_leb * sum(cells.values())
-    return vol, len(cells)
+    vol = (2.0 / math.pi**2) * cell_leb * sum(weights)
+    return vol, len(weights)

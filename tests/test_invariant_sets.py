@@ -235,7 +235,7 @@ class TestTransitionMatrix:
             if tm.matrix.size == 0:
                 continue
             oracle = max(abs(np.linalg.eigvals(tm.matrix.astype(float))), default=0.0)
-            assert tm.rho == pytest.approx(oracle, abs=1e-5)
+            assert tm.rho == pytest.approx(oracle, abs=1e-9)
             assert tm.rho <= f.degree + 1e-9
 
     def test_rho_maximal_iff_invariant_union(self, power_map, worked_map, lattes):
@@ -246,6 +246,16 @@ class TestTransitionMatrix:
                 assert abs(tm.rho - f.degree) <= 1e-9
             else:
                 assert tm.rho < f.degree - 0.5
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lattes_nilpotent_matrix_exact(self, d):
+        """t is nilpotent here: rho is 0 and the vector spans the kernel of t^T exactly."""
+        from greenp2 import lattes_map
+
+        tm = transition_matrix(lattes_map(d))
+        assert tm.rho == 0.0
+        assert not (tm.matrix.T @ tm.perron).any()
+        assert tm.perron.max() == 1.0
 
     def test_perron_vector_identity(self, worked_map):
         tm = transition_matrix(worked_map)

@@ -70,6 +70,27 @@ class TestApply:
         assert a.dist(b) < 1e-10
 
 
+class TestLiftTable:
+    """lift builds one monomial table and takes one product per component."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 7, 20000])
+    def test_lift_equals_per_component_eval(self, d, n):
+        from greenp2.potentials import _chart_lift
+        from greenp2.sampling import fs_points
+
+        f = random_valid_map(np.random.default_rng(40 + d), d)
+        X = fs_points(n, 41)
+        # chart lifts carry exact 1 and 0 coordinates
+        chart_rows = _chart_lift(np.array([[0.3 - 0.2j, 0.0], [0.0, 0.0], [1.0, -0.5j]]), 1)
+        k = min(n, 3)
+        X[:k] = chart_rows[:k]
+        expected = np.stack([p.eval_batch(X) for p in f.components], axis=1)
+        assert np.array_equal(f.lift(X), expected)
+        single = np.array([p.eval_batch(X[0])[0] for p in f.components])
+        assert np.array_equal(f.lift(X[0]), single)
+
+
 class TestLogOrbit:
     def test_fixed_coordinate_point(self, power_map):
         orbit = power_map.iterate_lognorm(ProjPoint([1, 0, 0]), 5)

@@ -1,11 +1,17 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from greenp2 import ProjPoint, parse_poly
+from conftest import random_valid_map
+from occupancy_reference import loop_grid_occupancy
+from greenp2 import ProjPoint, lattes_map, parse_poly
 from greenp2.errors import FitUnstable, OnCurve
 from greenp2.potentials import (
+    _chart_lift,
+    _grid_occupancy,
+    _orbit_log_jacobian,
     curve_potential,
     equidist_distance,
     green,
@@ -16,6 +22,7 @@ from greenp2.potentials import (
     sublevel_volume,
     volume_decay,
 )
+from greenp2.sampling import ball_points, fs_points
 
 
 def u_log_abs(col):
@@ -223,3 +230,75 @@ class TestVolumeDecay:
         ys = [math.log(max(math.log(1.0 / max(r.occupancy, 1e-300)), 1e-9)) for r in reps]
         rate = np.mean([b - a for a, b in zip(ys, ys[1:])])
         assert rate < math.log(2) * 0.85
+
+
+def _log_jacobian_reference(f, X, n):
+    """_orbit_log_jacobian with one eval_batch per partial, as before the shared table."""
+    d = f.degree
+    parts = [[f.components[i].partial(j) for j in range(3)] for i in range(3)]
+    cur = X.copy()
+    acc = np.zeros(X.shape[0])
+    logdet = np.zeros(X.shape[0])
+    for _ in range(n):
+        D = np.empty((X.shape[0], 3, 3), dtype=complex)
+        for i in range(3):
+            for j in range(3):
+                D[:, i, j] = parts[i][j].eval_batch(cur)
+        _, ld = np.linalg.slogdet(D)
+        logdet = logdet + ld + 3.0 * (d - 1) * acc
+        img = np.stack([p.eval_batch(cur) for p in f.components], axis=1)
+        norms = np.linalg.norm(img, axis=1)
+        acc = d * acc + np.log(norms)
+        cur = img / norms[:, None]
+    return logdet, acc, cur
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_log_jacobian_matches_per_partial_reference(self, d):
+        f = random_valid_map(np.random.default_rng(60 + d), d)
+        lift = _chart_lift(ball_points(500, (0.2, -0.1j), 0.3, 61), 2)
+        X = lift / np.linalg.norm(lift, axis=1)[:, None]
+        got = _orbit_log_jacobian(f, X, 3)
+        want = _log_jacobian_reference(f, X, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_one_table_per_lift_and_two_per_jacobian_step(self, monkeypatch, worked_map):
+        """Each build records its degree and how many earlier tables are still alive."""
+        import greenp2.maps
+        import greenp2.polys
+        import greenp2.potentials
+
+        real = greenp2.polys.monomial_table
+        builds, tables = [], []
+
+        def counting(pts, degree):
+            builds.append((degree, sum(ref() is not None for ref in tables)))
+            table = real(pts, degree)
+            tables.append(weakref.ref(table))
+            return table
+
+        for mod in (greenp2.polys, greenp2.maps, greenp2.potentials):
+            monkeypatch.setattr(mod, "monomial_table", counting)
+        X = fs_points(50, 62)
+        worked_map.lift(X)
+        assert builds == [(2, 0)]
+        builds.clear()
+        _orbit_log_jacobian(worked_map, X, 1)
+        # the partials' table is freed before the lift builds its own
+        assert builds == [(1, 0), (2, 0)]
+
+
+class TestGridOccupancy:
+    @pytest.mark.parametrize("grid", [4, 16])
+    def test_matches_point_loop(self, grid):
+        rng = np.random.default_rng(63)
+        clouds = [np.zeros((0, 2), dtype=complex), np.full((5, 2), 0.5 + 0.5j)]
+        for n, scale in ((1, 1.0), (300, 0.01), (6000, 1.0), (6000, 30.0)):
+            z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            clouds.append(scale * z / rng.standard_normal((n, 1)))  # heavy-tailed norms
+        lift = _chart_lift(ball_points(6000, (0.35, 0.1), 0.08, 64), 2)
+        *_, Y = _orbit_log_jacobian(lattes_map(2), lift / np.linalg.norm(lift, axis=1)[:, None], 2)
+        clouds.append(Y[:, :2] / Y[:, 2:])
+        for img in clouds:
+            assert _grid_occupancy(img, grid) == loop_grid_occupancy(img, grid)
