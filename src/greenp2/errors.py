@@ -48,7 +48,8 @@ class IncompleteFiber(GreenP2Error):
 
 
 class NonIntegerOrder(GreenP2Error):
-    """A fitted vanishing order is too far from an integer."""
+    """A vanishing order has no finite value: the pullback of a critical component
+    vanishes identically along the transverse arc it is read on."""
 
 
 class ComponentInvalid(GreenP2Error):

@@ -1,5 +1,6 @@
 """Dead-code guard: every private module-level function and constant of the library is
-used, and every error class is raised.
+used, and every error class is raised.  Error guard: no handler catches more than the
+package's own errors.
 
 Other public names are not checked, because tests use some of them as oracles.
 """
@@ -86,3 +87,14 @@ def _raised_error_classes(src_dir):
 def test_error_classes_are_raised():
     bases, raised = _raised_error_classes(SRC)
     assert sorted(set(bases) - raised) == []
+
+
+def test_no_broad_except():
+    broad = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler):
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(c is None or getattr(c, "id", None) in ("Exception", "BaseException") for c in caught):
+                    broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []

@@ -6,20 +6,26 @@ from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, pa
 from greenp2.errors import ComponentInvalid
 from greenp2.generators import _build_row
 from greenp2.invariant_sets import (
+    _arc_vanishing_order,
     _canonical_coeffs,
+    _component_sample,
     _divides_jacobian,
+    _orbit_totally_invariant,
     _orthonormal_completion,
+    _transverse_direction,
     classify,
     conjugacy_check,
     detect_linear_critical_components,
     exceptional_sets,
     invariant_lines,
+    invariant_orbits,
     invariant_points,
     line_restriction,
     transition_matrix,
 )
 from greenp2.multiplicities import jacobian_multiplicity
 from greenp2.polys import HomogPoly3
+from invariance_reference import fibre_totally_invariant, slope_vanishing_order
 
 
 def line_names(lines):
@@ -172,6 +178,23 @@ class TestInvariantPoints:
         rng = np.random.default_rng(12)
         assert invariant_points(random_valid_map(rng)) == []
 
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_rows_beyond_d3(self, d):
+        """Each row's totally invariant points are its exceptional points, d^2-fold
+        points of their fibres."""
+        for row in CONFIGURATION_IDS:
+            assert len(invariant_points(row_map(row, d))) == int(row.split("-")[1]), row
+
+    def test_cyclic_map_three_cycle(self):
+        """(w^2 : t^2 : z^2) cycles the vertices.  The 3-cycle lies on no invariant
+        line, so only the fixed-point solve of the third iterate finds it."""
+        f = make_map("w^2", "t^2", "z^2")
+        assert invariant_lines(f) == []
+        pts = invariant_points(f)
+        assert len(pts) == 3
+        for c in np.eye(3):
+            assert any(p.dist(ProjPoint(c)) < 1e-8 for p in pts)
+
 
 class TestTransitionMatrix:
     def test_power_map_diagonal(self, power_map):
@@ -225,9 +248,20 @@ class TestTransitionMatrix:
         f = row_map(row, d)
         factors = detect_linear_critical_components(f)
         assert all(_divides_jacobian(f, c.scale(s)) for c in factors for s in (2.5, 0.3 - 1.5j))
-        if d <= 3:  # the arc fit of transition_matrix resolves orders up to 3
-            tm = transition_matrix(f, components=[c.scale(0.3 - 1.5j) for c in factors])
-            assert tm.matrix.tolist() == transition_matrix(f).matrix.tolist()
+        tm = transition_matrix(f, components=[c.scale(0.3 - 1.5j) for c in factors])
+        assert tm.matrix.tolist() == transition_matrix(f).matrix.tolist()
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_rows_beyond_d3(self, d):
+        """rho = d where a totally invariant line exists, with d on its diagonal entry."""
+        for row in CONFIGURATION_IDS:
+            f = row_map(row, d)
+            tm = transition_matrix(f)
+            assert tm.rho == pytest.approx(0.0 if row == "0-1" else d, abs=1e-9), row
+            names = [c.to_string() for c in tm.components]
+            for L in invariant_lines(f):
+                i = names.index(L.form.to_string())
+                assert tm.matrix[i, i] == d, row
 
     def test_rho_matches_eigenvalue_oracle(self, power_map, worked_map, lattes):
         for f in (power_map, worked_map, lattes):
@@ -265,12 +299,20 @@ class TestTransitionMatrix:
 
 
 class TestExceptionalSets:
+    @pytest.mark.parametrize(
+        "row, d", [("3-3", 2)] + [(row, d) for d in (4, 5) for row in CONFIGURATION_IDS if row != "0-1"]
+    )
+    def test_line_order_checks(self, row, d):
+        """Each invariant line is a (d - 1)-fold factor of the Jacobian.  The 3-3 row at
+        d = 2 is the power map z^2:w^2:t^2; the 0-1 row has no line."""
+        sets = exceptional_sets(row_map(row, d), 3)
+        assert sets.line_order_checks and all(sets.line_order_checks)
+
     def test_power_map_full_structure(self, power_map):
         sets = exceptional_sets(power_map, 3)
         assert len(sets.e1_lines) == 3
         assert len(sets.e2_points) == 3
         assert all(kind == "on_E1" for _, kind in sets.e2_points)
-        assert all(sets.line_order_checks)
 
     def test_worked_map_excludes_invariant_point(self, worked_map):
         """The totally invariant point with slow contraction stays out."""
@@ -361,3 +403,41 @@ class TestConjugacyCheck:
         series = [contraction_order(power_map, p, n) for n in range(1, 6)]
         alphas = [series[n] / 2.0 ** (n + 1) for n in range(5)]
         assert min(alphas) >= 0.5
+
+
+class TestExactIntegers:
+    """The exact decisions need no fibre solve, and agree with the heuristics they
+    replaced (``invariance_reference``) where those resolve them."""
+
+    def test_no_fibre_solves(self, monkeypatch, power_map, worked_map):
+        calls = []
+        preimages = ProjMap.preimages
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return preimages(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProjMap, "preimages", counted)
+        for f in (power_map, worked_map, row_map("1-2", 2), row_map("2-3", 3)):
+            exceptional_sets(f, 3)
+            invariant_points(f)
+            transition_matrix(f)
+        assert calls == []
+
+    @pytest.mark.parametrize("row", CONFIGURATION_IDS)
+    def test_total_invariance_matches_fibre_count(self, row):
+        f = row_map(row, 2)
+        orbits = [[p] for p, _ in f.fixed_points()] + invariant_orbits(f)
+        for orbit in orbits:
+            assert _orbit_totally_invariant(f, orbit) == fibre_totally_invariant(f, orbit)
+
+    @pytest.mark.parametrize("row", CONFIGURATION_IDS)
+    def test_arc_orders_match_slope_fit(self, row):
+        f = row_map(row, 2)
+        comps = detect_linear_critical_components(f)
+        pulled = [c.compose(f.components) for c in comps]
+        for j, comp in enumerate(comps):
+            x = _component_sample(f, comp, comps[:j] + comps[j + 1:], seed=17 + j)
+            v = _transverse_direction(comp, x)
+            for p in pulled:
+                assert _arc_vanishing_order(p, x, v) == slope_vanishing_order(p, x, v)
