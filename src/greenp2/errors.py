@@ -19,12 +19,13 @@ class PositiveDimensional(GreenP2Error):
 
 class IllConditioned(GreenP2Error):
     """A numerical decision had no clear margin: a back-substitution could not pick
-    a fiber, or a Macaulay matrix showed no gap between its kept and dropped
-    singular values."""
+    a fiber, a Macaulay matrix showed no gap between its kept and dropped singular
+    values, or a map's Macaulay matrix fell below the nondegeneracy floor while
+    its null space held no common zero of the components."""
 
 
 class DegenerateMap(GreenP2Error):
-    """Map components share a nontrivial common zero."""
+    """Map components share a nontrivial common zero; ``point`` is one of them."""
 
     def __init__(self, message, point=None):
         super().__init__(message)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConstructionDegenerate, GenerationFailed, GreenP2Error
+from .errors import ConstructionDegenerate, DegenerateMap, GenerationFailed
 from .maps import ProjMap
 from .polys import HomogPoly3, monomial_exponents, n_monomials
 from .series import _sylvester_dets
@@ -73,7 +73,7 @@ def configuration_map(row_id: str, d: int, rng_seed: int) -> ProjMap:
             continue
         try:
             return ProjMap.validate(comps)
-        except GreenP2Error:
+        except DegenerateMap:
             continue
     raise GenerationFailed(f"no valid draw for configuration {row_id} at degree {d}")
 

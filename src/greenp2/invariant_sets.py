@@ -291,26 +291,9 @@ def invariant_orbits(f: ProjMap, max_period: int = 3):
     return orbits
 
 
-def _polish_periodic(f: ProjMap, orbit):
-    """Forward iteration sharpens superattracting periodic points quadratically.
-
-    Candidates that drift are left alone (repelling points cannot be polished
-    this way, but they never pass the total-invariance test anyway).
-    """
-    cur = orbit[0]
-    for _ in range(3 * len(orbit)):
-        cur = f.apply(cur)
-    if cur.dist(orbit[0]) <= 1e-3:
-        out = [cur]
-        for _ in range(len(orbit) - 1):
-            out.append(f.apply(out[-1]))
-        return out
-    return orbit
-
-
 def _orbit_totally_invariant(f: ProjMap, orbit) -> bool:
     """Each orbit point is the whole fibre of its image: local degree d^2."""
-    return all(local_degree_step(f, p) == f.degree**2 for p in _polish_periodic(f, orbit))
+    return all(local_degree_step(f, p) == f.degree**2 for p in orbit)
 
 
 def invariant_points(f: ProjMap, max_period: int = 3):

@@ -7,20 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChartUndefined,
-    DegenerateMap,
-    DegreeMismatch,
-    IncompleteFiber,
-    PositiveDimensional,
-    SolverFailure,
-)
-from .polys import HomogPoly3, compose_map, jacobian_det, monomial_table
+from .errors import ChartUndefined, DegenerateMap, DegreeMismatch, IllConditioned, IncompleteFiber, SolverFailure
+from .polys import HomogPoly3, compose_map, jacobian_det, monomial_exponents, monomial_position, monomial_table
 from .roots import CLUSTER_RADIUS
 from .sampling import fs_points
 from .systems import solve_affine_system
 
-#: deterministic seed for sphere-sample certificates attached to a map
+#: deterministic seed of the sphere samples behind ``lognorm_sup``
 _CERT_SEED = 20240801
 
 #: chart visiting order for fiber solves (t first: the common case)
@@ -29,6 +22,15 @@ CHART_ORDER = (2, 0, 1)
 #: sphere samples and safety factor of the sup-sphere log-norm estimate
 _LOGNORM_SAMPLES = 10**4
 _LOGNORM_SAFETY = 1.5
+
+#: least singular value of the row-normalised Macaulay matrix of a nondegenerate map
+_MACAULAY_FLOOR = 1e-10
+#: largest relative residual of a null-space point taken for a common zero
+_WITNESS_TOL = 1e-10
+#: generic linear form of the null-space pencil
+_WITNESS_FORM = np.array([0.6 - 0.3j, -0.4 + 0.7j, 0.5 + 0.2j])
+#: Newton steps of the polish
+_POLISH_STEPS = 6
 
 
 def _unit_phase(v):
@@ -93,9 +95,6 @@ class ProjPoint:
         )
         return min(1.0, float(np.linalg.norm(wedge)))
 
-    def on_line(self, form: HomogPoly3, tol: float = 1e-8) -> bool:
-        return abs(form(self.coords)) <= tol * max(form.coeff_norm, 1e-300)
-
     def __repr__(self):
         c = np.round(self.coords, 6)
         return f"[{c[0]}:{c[1]}:{c[2]}]"
@@ -105,9 +104,6 @@ class ProjPoint:
 class LogOrbit:
     points: list
     lognorms: list
-
-    def __len__(self):
-        return len(self.points)
 
 
 @dataclass
@@ -132,25 +128,32 @@ class ProjMap:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def validate(cls, components, sphere_samples: int = 10**4):
-        """Check a common degree >= 2 and the absence of a nontrivial common zero."""
+    def validate(cls, components):
+        """Check a common degree >= 2 and the absence of a nontrivial common zero.
+
+        Three forms of degree d have no common zero exactly when their Macaulay
+        matrix in degree 3d - 2 has full column rank (Macaulay 1902).  The least
+        singular value of that matrix, rows scaled to unit norm, is kept as
+        ``nondegeneracy_residual``; at or below a fixed floor ``_refuse`` raises.
+        """
         comps = tuple(components)
         if len(comps) != 3:
             raise DegreeMismatch("a map needs exactly three components")
         degs = [p.degree for p in comps]
         if len(set(degs)) != 1:
             raise DegreeMismatch(f"components have degrees {degs}")
-        if degs[0] < 2:
+        d = degs[0]
+        if d < 2:
             raise DegreeMismatch("algebraic degree must be at least 2")
-        witness = _common_zero(comps)
-        if witness is not None:
-            raise DegenerateMap(f"components vanish simultaneously at {witness}", point=witness)
-        table = monomial_table(fs_points(sphere_samples, _CERT_SEED), degs[0])
-        vals = np.stack([table @ p.coeffs for p in comps], axis=1)
-        residual = float(np.min(np.linalg.norm(vals, axis=1)))
-        if residual <= 0.0:
-            raise DegenerateMap("a sphere sample evaluates to zero", point=None)
-        return cls(comps, residual)
+        unit = np.stack([p.coeffs / max(np.linalg.norm(p.coeffs), 1e-300) for p in comps])
+        cols = _product_columns(2 * d - 2, d)  # rows x^alpha F_i, |alpha| = 2d - 2
+        M = np.zeros((3, len(cols), len(monomial_exponents(3 * d - 2))), dtype=complex)
+        M[:, np.arange(len(cols))[:, None], cols] = unit[:, None, :]
+        M = M.reshape(-1, M.shape[2])
+        sigma = np.linalg.svd(M, compute_uv=False)[-1]
+        if sigma <= _MACAULAY_FLOOR:
+            _refuse(d, unit, M, sigma)
+        return cls(comps, sigma)
 
     # -- evaluation --------------------------------------------------------
 
@@ -221,50 +224,35 @@ class ProjMap:
 
     def preimages(self, q: ProjPoint) -> Fiber:
         """The full fiber over q; total multiplicity is the topological degree d^2."""
-        pivot = int(np.argmax(np.abs(q.coords)))
-        others = [i for i in range(3) if i != pivot]
-        eqs = [
-            self.components[j].scale(q.coords[pivot])
-            - self.components[pivot].scale(q.coords[j])
-            for j in others
-        ]
-        found = self._solve_projective(eqs, expected=self.degree**2)
+        c, F = q.chart(), self.components
+        eqs = [F[j].scale(q.coords[c]) - F[c].scale(q.coords[j]) for j in range(3) if j != c]
+        found = self._solve_projective(lambda chart: eqs, expected=self.degree**2)
         total = sum(m for _, m in found)
         return Fiber(q, found, total, complete=(total == self.degree**2))
+
+    def _fixed_point_pair(self, chart: int):
+        """{F_j x_c - x_j F_c : j != c} cuts out exactly the fixed points in chart c
+        (F_c cannot vanish on them by nondegeneracy)."""
+        x, F = HomogPoly3.variable, self.components
+        return [F[j] * x(chart) - x(j) * F[chart] for j in range(3) if j != chart]
 
     def fixed_points(self):
         """All fixed points with multiplicities; total d^2 + d + 1 when finite."""
         d = self.degree
-        # in chart c the pair {F_j x_c - x_j F_c} cuts out exactly the affine
-        # fixed points (F_c cannot vanish on them by nondegeneracy)
-        eq_builder = lambda chart: [
-            self.components[j] * HomogPoly3.variable(chart)
-            - HomogPoly3.variable(j) * self.components[chart]
-            for j in range(3)
-            if j != chart
-        ]
-        found = self._solve_projective(None, expected=d * d + d + 1, eq_builder=eq_builder)
+        found = self._solve_projective(self._fixed_point_pair, expected=d * d + d + 1)
         total = sum(m for _, m in found)
         if total != d * d + d + 1:
-            raise IncompleteFiber(
-                f"fixed point multiplicities sum to {total}, expected {d*d + d + 1}"
-            )
+            raise IncompleteFiber(f"fixed point multiplicities sum to {total}, expected {d*d + d + 1}")
         return found
 
-    def _solve_projective(self, eqs, expected, eq_builder=None):
-        """Solve a pair of homogeneous equations across charts and deduplicate."""
+    def _solve_projective(self, eq_builder, expected):
+        """Solve the pair eq_builder(chart) across charts, deduplicate and polish."""
         found = []  # [point, mult, interiority]
         last_exc = None
         for chart in CHART_ORDER:
-            chart_eqs = eq_builder(chart) if eq_builder is not None else eqs
+            a, b = eq_builder(chart)
             try:
-                sols = solve_affine_system(
-                    chart_eqs[0].dehomogenize(chart),
-                    chart_eqs[1].dehomogenize(chart),
-                    trust_radius=4.0,
-                )
-            except PositiveDimensional:
-                raise
+                sols = solve_affine_system(a.dehomogenize(chart), b.dehomogenize(chart), trust_radius=4.0)
             except SolverFailure as exc:
                 last_exc = SolverFailure(str(exc), chart=chart)
                 continue
@@ -282,52 +270,75 @@ class ProjMap:
                 break
         if not found and last_exc is not None:
             raise last_exc
-        found.sort(
-            key=lambda e: (
-                round(e[0].coords[0].real, 6),
-                round(e[0].coords[0].imag, 6),
-                round(e[0].coords[1].real, 6),
-                round(e[0].coords[1].imag, 6),
-            )
-        )
-        return [(e[0], e[1]) for e in found]
+        polished = _newton_polish(eq_builder, [e[0].coords for e in found])
+        found = [(ProjPoint(x), e[1]) for x, e in zip(polished, found)]
+        found.sort(key=lambda e: tuple(round(c, 6) for c in e[0].coords[:2].view(float)))
+        return found
 
 
-def _common_zero(comps):
-    """A unit representative of a common zero of the three forms, or None.
+def _newton_polish(eq_builder, points) -> np.ndarray:
+    """Newton steps on each point's pair eq_builder(chart) in its pivot chart.
 
-    Any zero-dimensional pair of components confines the triple's common
-    zeros within a chart, so checking the remaining component on that pair's
-    solutions settles the chart.
+    The points step together: one monomial table of degree e - 1 gives every
+    partial derivative of the degree-e pair, Euler's identity e G = sum_v x_v
+    dG/dx_v gives the values, and the 2 x 2 systems are solved in closed form.
+    A point keeps a step only when the step lowers its residual.
     """
-    pairs = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-    for chart in CHART_ORDER:
-        settled = False
-        for ia, ib, ic in pairs:
-            try:
-                sols = solve_affine_system(
-                    comps[ia].dehomogenize(chart), comps[ib].dehomogenize(chart)
-                )
-            except PositiveDimensional:
-                continue
-            settled = True
-            norm_c = max(comps[ic].coeff_norm, 1e-300)
-            scale = max(comps[ia].coeff_norm, comps[ib].coeff_norm)
-            deg = comps[0].degree
-            for (u, v), mult in sols:
-                pt = ProjPoint.from_chart(chart, (u, v))
-                val = abs(comps[ic](pt.coords))
-                other = max(abs(comps[ia](pt.coords)), abs(comps[ib](pt.coords)))
-                # a multiplicity-m intersection is located to ~eps^(1/m), so
-                # the vanishing thresholds widen accordingly
-                err = max(1e-8, 1e-12 ** (1.0 / mult))
-                tol_val = max(1e-7, (5.0 * err) ** deg)
-                tol_other = max(1e-5, (5.0 * err) ** deg)
-                if val <= tol_val * norm_c and other <= tol_other * scale:
-                    return pt
-            break
-        if not settled:
-            # every pair shares a curve in this chart; curves meet in the
-            # plane, so the triple must vanish somewhere
-            raise DegenerateMap("components share curves pairwise", point=None)
-    return None
+    pts = np.array(points, dtype=complex).reshape(-1, 3)
+    rows, charts = np.arange(len(pts)), np.argmax(np.abs(pts), axis=1)
+    pts /= pts[rows, charts][:, None]
+    free = np.array([[1, 2], [0, 2], [0, 1]])[charts]
+    pairs = [eq_builder(c) for c in range(3)]
+    e = pairs[0][0].degree
+    grads = np.array([[[g.partial(v).coeffs for v in range(3)] for g in pair] for pair in pairs])[charts]
+
+    def evaluate(x):
+        dG = np.einsum("nm,nivm->niv", monomial_table(x, e - 1), grads)
+        G = np.einsum("niv,nv->ni", dG, x) / e
+        return G, dG, np.linalg.norm(G, axis=1)
+
+    G, dG, res = evaluate(pts)
+    with np.errstate(all="ignore"):
+        for _ in range(_POLISH_STEPS):
+            J = np.take_along_axis(dG, free[:, None, :], axis=2)
+            cramer = [J[:, 1, 1] * G[:, 0] - J[:, 0, 1] * G[:, 1], J[:, 0, 0] * G[:, 1] - J[:, 1, 0] * G[:, 0]]
+            trial = pts.copy()
+            trial[rows[:, None], free] -= np.stack(cramer, 1) / np.linalg.det(J)[:, None]
+            tG, tdG, tres = evaluate(trial)
+            better = tres < res
+            if not better.any():
+                break
+            pts[better], G[better], dG[better], res[better] = trial[better], tG[better], tdG[better], tres[better]
+    return pts
+
+
+def _product_columns(da: int, db: int) -> np.ndarray:
+    """Position in degree da + db of the product of the a-th monomial of degree da and the b-th of degree db."""
+    tot = monomial_exponents(da)[:, None, :] + monomial_exponents(db)[None, :, :]
+    return monomial_position(tot[..., 0], tot[..., 1], tot[..., 2])
+
+
+def _refuse(d, unit, M, sigma):
+    """Raise DegenerateMap with a common zero read from the null space of M, else IllConditioned.
+
+    The null space holds the Veronese vector of every common zero.  Its rows
+    at m x_0 and at m l, over the monomials m of degree 3d - 3 and for a fixed
+    generic linear form l, form a pencil whose eigenvectors pick out those
+    vectors; each is read at m (x_0, x_1, x_2) for its largest m.
+    """
+    shift = _product_columns(3 * d - 3, 1)
+    _, s, vh = np.linalg.svd(M)
+    null = vh[s <= _MACAULAY_FLOOR].conj().T
+    pencil = np.linalg.lstsq(_WITNESS_FORM @ null[shift], null[shift[:, 0]], rcond=None)[0]
+    reads = (null @ np.linalg.eig(pencil)[1])[shift]  # (m, x_j, eigenvector)
+    cands = reads[np.argmax(np.linalg.norm(reads, axis=1), axis=0), :, np.arange(reads.shape[2])]
+    cands /= np.linalg.norm(cands, axis=1)[:, None]
+    residual = np.max(np.abs(monomial_table(cands, d) @ unit.T), axis=1)
+    best = int(np.argmin(residual))
+    if residual[best] <= _WITNESS_TOL:
+        witness = ProjPoint(cands[best])
+        raise DegenerateMap(f"components vanish simultaneously at {witness}", point=witness)
+    raise IllConditioned(
+        f"Macaulay matrix has least singular value {sigma:.2e} but its null space "
+        f"holds no common zero (least relative residual {residual[best]:.2e})"
+    )

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from greenp2 import ProjMap, ProjPoint, parse_poly
+from greenp2.errors import GreenP2Error
 from greenp2.polys import HomogPoly3, n_monomials
 from greenp2.roots import roots_univariate
 
 
 def make_map(*exprs):
-    return ProjMap.validate([parse_poly(e) for e in exprs], sphere_samples=200)
+    return ProjMap.validate([parse_poly(e) for e in exprs])
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +44,8 @@ def random_valid_map(rng, d=2):
             for _ in range(3)
         ]
         try:
-            return ProjMap.validate(comps, sphere_samples=200)
-        except Exception:
+            return ProjMap.validate(comps)
+        except GreenP2Error:
             continue
 
 

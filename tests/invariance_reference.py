@@ -11,7 +11,6 @@ the heuristics resolve them (d = 2).
 import numpy as np
 
 from greenp2.errors import NonIntegerOrder
-from greenp2.invariant_sets import _polish_periodic
 from greenp2.potentials import _slope_fit
 
 
@@ -21,7 +20,6 @@ def fibre_totally_invariant(f, orbit) -> bool:
     # eps^(1/m); the match radius must sit above that for m up to degree^2
     d2 = f.degree**2
     radius = min(max(2e-3, 20.0 * 1e-14 ** (1.0 / d2)), 0.05)
-    orbit = _polish_periodic(f, orbit)
     for i, q in enumerate(orbit):
         prev = orbit[(i - 1) % len(orbit)]
         fib = f.preimages(q)

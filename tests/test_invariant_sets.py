@@ -4,7 +4,6 @@ import pytest
 from conftest import conjugate, make_map, random_valid_map
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, parse_poly
 from greenp2.errors import ComponentInvalid
-from greenp2.generators import _build_row
 from greenp2.invariant_sets import (
     _arc_vanishing_order,
     _canonical_coeffs,
@@ -33,15 +32,8 @@ def line_names(lines):
 
 
 def row_map(row, d, seed=1000):
-    """The configuration map of a row; from d = 4 on unvalidated, since
-    ``ProjMap.validate`` rejects some valid maps there."""
-    if d <= 3:
-        return configuration_map(row, d, seed)
-    rng = np.random.default_rng(seed)
-    while True:
-        comps, guards = _build_row(row, d, rng)
-        if all(abs(g) >= 0.05 for g in guards):
-            return ProjMap(comps, 1.0)
+    """The configuration map of a row."""
+    return configuration_map(row, d, seed)
 
 
 def rotations(f, count, seed):
@@ -213,7 +205,7 @@ class TestTransitionMatrix:
             P = HomogPoly3(2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
             Q = HomogPoly3(2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
             try:
-                f = ProjMap.validate([P, Q, parse_poly("t^2")], sphere_samples=200)
+                f = ProjMap.validate([P, Q, parse_poly("t^2")])
                 break
             except Exception:
                 continue

@@ -3,9 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_map, random_valid_map
-from greenp2 import ProjMap, ProjPoint, parse_poly
-from greenp2.errors import ChartUndefined, DegenerateMap, DegreeMismatch
+from conftest import conjugate, make_map, random_valid_map
+from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, maps, parse_poly, systems
+from greenp2.errors import ChartUndefined, DegenerateMap, DegreeMismatch, GreenP2Error
+from greenp2.multiplicities import local_degree_step, orbit_report
+
+
+def power_components(d):
+    return [parse_poly(f"{v}^{d}") for v in "zwt"]
+
+
+def backward_error(f, x, q):
+    """|q ^ F(x)| for unit x and q, over the largest coefficient norm of F."""
+    image = f.lift(x.coords)
+    return q.dist(ProjPoint(image)) * np.linalg.norm(image) / max(np.linalg.norm(c.coeffs) for c in f.components)
 
 
 class TestProjPoint:
@@ -33,11 +44,61 @@ class TestValidate:
         assert power_map.degree == 2
         assert power_map.nondegeneracy_residual > 0.5
 
-    def test_degenerate_triple(self):
+    @pytest.mark.parametrize("exprs", [("z^2", "w^2", "z*w"), ("z*w", "z*t", "z^2")], ids=["point", "curve"])
+    def test_degenerate_triple(self, exprs):
+        """A point zero of z^2 : w^2 : zw, and a shared curve {z = 0}: both
+        raise DegenerateMap with a common zero as witness."""
+        comps = [parse_poly(e) for e in exprs]
         with pytest.raises(DegenerateMap) as info:
+            ProjMap.validate(comps)
+        p = info.value.point
+        assert p is not None
+        assert max(abs(c(p.coords)) for c in comps) < 1e-8
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_power_map_and_unitary_conjugates(self, d):
+        f = ProjMap.validate(power_components(d))
+        assert f.nondegeneracy_residual == pytest.approx(1.0)
+        rng = np.random.default_rng(100 + d)
+        for _ in range(6):
+            A = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+            assert ProjMap.validate(conjugate(f, A).components).nondegeneracy_residual > 1e-3
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("row", CONFIGURATION_IDS)
+    def test_rows_beyond_d3(self, row, d):
+        assert configuration_map(row, d, 1000).nondegeneracy_residual > 1e-6
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_gaussian_conjugates_typed(self, d):
+        """Badly conditioned conjugates may be refused, but only with a typed
+        error, and DegenerateMap always names its common zero."""
+        f = ProjMap.validate(power_components(d))
+        rng = np.random.default_rng(200 + d)
+        for _ in range(40):
+            A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            try:
+                ProjMap.validate(conjugate(f, A).components)
+            except DegenerateMap as exc:
+                assert exc.point is not None
+            except GreenP2Error:
+                pass
+
+    def test_no_solver_calls(self, monkeypatch):
+        calls = []
+        solve = systems.solve_affine_system
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        for module in (systems, maps):
+            monkeypatch.setattr(module, "solve_affine_system", counted)
+        ProjMap.validate(power_components(3))
+        configuration_map("1-1-incident", 4, 1000)
+        with pytest.raises(DegenerateMap):
             make_map("z^2", "w^2", "z*w")
-        assert info.value.point is not None
-        assert info.value.point.dist(ProjPoint([0, 0, 1])) < 1e-3
+        assert calls == []
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
@@ -173,3 +234,48 @@ class TestPreimages:
             assert fib.complete and fib.total_multiplicity == 4
             for x, _ in fib.preimages:
                 assert f.apply(x).dist(q) <= 1e-6
+
+
+class TestPolish:
+    """Every solved point is Newton-polished on its own equations."""
+
+    #: fixed points on the invariant line {t = 0} of two d = 3 configuration
+    #: maps, as [z : w : 0] to 8 digits
+    ONLINE_POINTS = (
+        (("1-0", 3, 8), (0.45917243, -0.3472656 + 0.81765964j)),
+        (("1-1-incident", 3, 7), (0.87991767, -0.36929117 - 0.29894637j)),
+        (("1-0", 3, 8), (0.69965703, -0.68112128 - 0.2157634j)),
+    )
+
+    def test_online_fixed_points(self):
+        """The Jacobian of f^n vanishes to order >= 3^n - 1 along {t = 0}; the
+        orders reach that floor once the points lie on the line."""
+        for key, (z, w) in self.ONLINE_POINTS:
+            f = configuration_map(*key)
+            target = ProjPoint([z, w, 0.0])
+            p = min((p for p, _ in f.fixed_points()), key=lambda p: p.dist(target))
+            assert p.dist(target) < 1e-6
+            assert abs(p.coords[2]) <= 1e-15
+            assert orbit_report(f, p, 3).jacobian_orders == [2, 8, 26]
+
+    def test_vertex_local_degree_d5(self):
+        """[0:1:0] is a totally invariant fixed point of the 0-1 row at d = 5."""
+        f = configuration_map("0-1", 5, 1000)
+        vertex = ProjPoint([0, 1, 0])
+        p = min((p for p, _ in f.fixed_points()), key=lambda p: p.dist(vertex))
+        assert p.dist(vertex) < 1e-6
+        assert local_degree_step(f, p) == 25
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_backward_error(self, d):
+        """Simple fixed points x have backward error |x ^ F(x)| / |F| of at most
+        1e-14, and so do simple fibre points x over q with |q ^ F(x)| / |F|."""
+        rng = np.random.default_rng(5)
+        for row in CONFIGURATION_IDS:
+            f = configuration_map(row, d, 1000)
+            for p, m in f.fixed_points():
+                assert m > 1 or backward_error(f, p, p) <= 1e-14, (row, p)
+            for _ in range(3):
+                q = ProjPoint(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                for x, m in f.preimages(q).preimages:
+                    assert m > 1 or backward_error(f, x, q) <= 1e-14, (row, x)

@@ -229,8 +229,8 @@ def test_local_degree_step_stability(power_map):
 
 
 def power(d):
-    """z^d : w^d : t^d, unvalidated (validation rejects it at d = 5)."""
-    return ProjMap([parse_poly(f"{v}^{d}") for v in "zwt"], 1.0)
+    """z^d : w^d : t^d."""
+    return ProjMap.validate([parse_poly(f"{v}^{d}") for v in "zwt"])
 
 
 #: vertex, edge and generic points of the power maps, with their local degrees
