@@ -17,14 +17,12 @@ from .errors import (
     GenerationFailed,
     GreenP2Error,
     IllConditioned,
-    IncompleteFiber,
     NonIntegerOrder,
     NotSuperattracting,
     OnCurve,
     OrderExceedsTruncation,
     ParseError,
     PositiveDimensional,
-    SolverFailure,
 )
 from .generators import CONFIGURATION_IDS, configuration_map, lattes_map
 from .invariant_sets import (

@@ -18,10 +18,10 @@ class PositiveDimensional(GreenP2Error):
 
 
 class IllConditioned(GreenP2Error):
-    """A numerical decision had no clear margin: a back-substitution could not pick
-    a fiber, a Macaulay matrix showed no gap between its kept and dropped singular
-    values, or a map's Macaulay matrix fell below the nondegeneracy floor while
-    its null space held no common zero of the components."""
+    """A numerical decision had no clear margin: a Macaulay matrix showed no gap
+    between its kept and dropped singular values, a point read from its null
+    space missed the equations, or a map's Macaulay matrix fell below the
+    nondegeneracy floor with no common zero in its null space."""
 
 
 class DegenerateMap(GreenP2Error):
@@ -34,18 +34,6 @@ class DegenerateMap(GreenP2Error):
 
 class DegreeMismatch(GreenP2Error):
     """Map components do not share a common degree."""
-
-
-class SolverFailure(GreenP2Error):
-    """A chart-level system solve failed; the offending chart is attached."""
-
-    def __init__(self, message, chart=None):
-        super().__init__(message)
-        self.chart = chart
-
-
-class IncompleteFiber(GreenP2Error):
-    """Multiplicities across charts do not reach the expected intersection count."""
 
 
 class NonIntegerOrder(GreenP2Error):

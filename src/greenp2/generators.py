@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConstructionDegenerate, DegenerateMap, GenerationFailed
 from .maps import ProjMap
 from .polys import HomogPoly3, monomial_exponents, n_monomials
-from .series import _sylvester_dets
 
 CONFIGURATION_IDS = (
     "1-0",
@@ -194,3 +193,24 @@ def lattes_root_pair_image(d: int, z1: complex, z2: complex):
     n2, d2 = ratio(z2)
     # (d1 X - n1 Y)(d2 X - n2 Y) up to scale
     return np.array([d1 * d2, -(d1 * n2 + d2 * n1), n1 * n2], dtype=complex)
+
+
+def _sylvester_dets(A, B, s_values):
+    """Sylvester determinants in v of A(s, v) and B(s, v) at each s value.
+
+    Rows of A and B index powers of s and columns powers of v; the formal
+    v-degrees are the column counts minus one.
+    """
+    na = A.shape[1] - 1
+    nb = B.shape[1] - 1
+    s = np.asarray(s_values)
+    V = np.vander(s, max(A.shape[0], B.shape[0]), increasing=True)
+    Av = V[:, : A.shape[0]] @ A
+    Bv = V[:, : B.shape[0]] @ B
+    size = na + nb
+    M = np.zeros((len(s), size, size), dtype=complex)
+    for r in range(nb):
+        M[:, r, r : r + na + 1] = Av[:, ::-1]
+    for r in range(na):
+        M[:, nb + r, r : r + nb + 1] = Bv[:, ::-1]
+    return np.linalg.det(M)

@@ -246,7 +246,7 @@ def invariant_orbits(f: ProjMap, max_period: int = 3):
     """Totally invariant periodic orbits as lists of points, ordered by period.
 
     Periods whose iterate lift has degree up to LIFT_DEGREE_CAP are solved as
-    fixed points of the iterate; a period whose solve fails is skipped.  On
+    fixed points of the iterate; a period whose solve raises is skipped.  On
     top of these, periodic orbits on the invariant lines come from the line
     restrictions.  Longer periods off the lines are not searched: the cyclic
     map (w^d : t^d : z^d) has a totally invariant 3-cycle of vertices on no

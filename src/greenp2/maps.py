@@ -7,17 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartUndefined, DegenerateMap, DegreeMismatch, IllConditioned, IncompleteFiber, SolverFailure
-from .polys import HomogPoly3, compose_map, jacobian_det, monomial_exponents, monomial_position, monomial_table
-from .roots import CLUSTER_RADIUS
+from .errors import ChartUndefined, DegenerateMap, DegreeMismatch, IllConditioned
+from .polys import HomogPoly3, compose_map, jacobian_det, monomial_table
 from .sampling import fs_points
-from .systems import solve_affine_system
+from .systems import macaulay_matrix, null_space_points, residuals, solve_projective
 
 #: deterministic seed of the sphere samples behind ``lognorm_sup``
 _CERT_SEED = 20240801
-
-#: chart visiting order for fiber solves (t first: the common case)
-CHART_ORDER = (2, 0, 1)
 
 #: sphere samples and safety factor of the sup-sphere log-norm estimate
 _LOGNORM_SAMPLES = 10**4
@@ -27,8 +23,6 @@ _LOGNORM_SAFETY = 1.5
 _MACAULAY_FLOOR = 1e-10
 #: largest relative residual of a null-space point taken for a common zero
 _WITNESS_TOL = 1e-10
-#: generic linear form of the null-space pencil
-_WITNESS_FORM = np.array([0.6 - 0.3j, -0.4 + 0.7j, 0.5 + 0.2j])
 #: Newton steps of the polish
 _POLISH_STEPS = 6
 
@@ -60,14 +54,6 @@ class ProjPoint:
         if not np.all(np.isfinite(v)):
             raise ValueError("projective point needs a finite representative")
         self.coords = _unit_phase(v)
-
-    @classmethod
-    def from_chart(cls, chart, pair):
-        v = np.zeros(3, dtype=complex)
-        keep = [i for i in range(3) if i != chart]
-        v[keep[0]], v[keep[1]] = pair
-        v[chart] = 1.0
-        return cls(v)
 
     def chart(self) -> int:
         return int(np.argmax(np.abs(self.coords)))
@@ -145,14 +131,10 @@ class ProjMap:
         d = degs[0]
         if d < 2:
             raise DegreeMismatch("algebraic degree must be at least 2")
-        unit = np.stack([p.coeffs / max(np.linalg.norm(p.coeffs), 1e-300) for p in comps])
-        cols = _product_columns(2 * d - 2, d)  # rows x^alpha F_i, |alpha| = 2d - 2
-        M = np.zeros((3, len(cols), len(monomial_exponents(3 * d - 2))), dtype=complex)
-        M[:, np.arange(len(cols))[:, None], cols] = unit[:, None, :]
-        M = M.reshape(-1, M.shape[2])
+        M = macaulay_matrix(comps, 3 * d - 2)
         sigma = np.linalg.svd(M, compute_uv=False)[-1]
         if sigma <= _MACAULAY_FLOOR:
-            _refuse(d, unit, M, sigma)
+            _refuse(d, comps, M, sigma)
         return cls(comps, sigma)
 
     # -- evaluation --------------------------------------------------------
@@ -224,54 +206,27 @@ class ProjMap:
 
     def preimages(self, q: ProjPoint) -> Fiber:
         """The full fiber over q; total multiplicity is the topological degree d^2."""
-        c, F = q.chart(), self.components
+        c, F, d = q.chart(), self.components, self.degree
         eqs = [F[j].scale(q.coords[c]) - F[c].scale(q.coords[j]) for j in range(3) if j != c]
-        found = self._solve_projective(lambda chart: eqs, expected=self.degree**2)
-        total = sum(m for _, m in found)
-        return Fiber(q, found, total, complete=(total == self.degree**2))
-
-    def _fixed_point_pair(self, chart: int):
-        """{F_j x_c - x_j F_c : j != c} cuts out exactly the fixed points in chart c
-        (F_c cannot vanish on them by nondegeneracy)."""
-        x, F = HomogPoly3.variable, self.components
-        return [F[j] * x(chart) - x(j) * F[chart] for j in range(3) if j != chart]
+        return Fiber(q, self._solve_projective(eqs, 2 * d - 1, d * d, lambda chart: eqs), d * d)
 
     def fixed_points(self):
-        """All fixed points with multiplicities; total d^2 + d + 1 when finite."""
-        d = self.degree
-        found = self._solve_projective(self._fixed_point_pair, expected=d * d + d + 1)
-        total = sum(m for _, m in found)
-        if total != d * d + d + 1:
-            raise IncompleteFiber(f"fixed point multiplicities sum to {total}, expected {d*d + d + 1}")
-        return found
+        """All fixed points with multiplicities, which total d^2 + d + 1: the common
+        zeros of the 2 x 2 minors x_i F_j - x_j F_i of [x; F(x)].  In chart c the
+        two minors through x_c cut them out exactly (F_c cannot vanish on them
+        by nondegeneracy); the polish uses those."""
+        d, x, F = self.degree, HomogPoly3.variable, self.components
+        pairs = ((0, 1), (0, 2), (1, 2))
+        minors = [F[j] * x(i) - x(j) * F[i] for i, j in pairs]
+        return self._solve_projective(
+            minors, 2 * d, d * d + d + 1, lambda c: [m for m, p in zip(minors, pairs) if c in p]
+        )
 
-    def _solve_projective(self, eq_builder, expected):
-        """Solve the pair eq_builder(chart) across charts, deduplicate and polish."""
-        found = []  # [point, mult, interiority]
-        last_exc = None
-        for chart in CHART_ORDER:
-            a, b = eq_builder(chart)
-            try:
-                sols = solve_affine_system(a.dehomogenize(chart), b.dehomogenize(chart), trust_radius=4.0)
-            except SolverFailure as exc:
-                last_exc = SolverFailure(str(exc), chart=chart)
-                continue
-            for (u, v), mult in sols:
-                pt = ProjPoint.from_chart(chart, (u, v))
-                interior = abs(pt.coords[chart])
-                for entry in found:
-                    if entry[0].dist(pt) <= 10 * CLUSTER_RADIUS:
-                        if interior > entry[2]:
-                            entry[0], entry[1], entry[2] = pt, mult, interior
-                        break
-                else:
-                    found.append([pt, mult, interior])
-            if sum(e[1] for e in found) == expected:
-                break
-        if not found and last_exc is not None:
-            raise last_exc
-        polished = _newton_polish(eq_builder, [e[0].coords for e in found])
-        found = [(ProjPoint(x), e[1]) for x, e in zip(polished, found)]
+    @staticmethod
+    def _solve_projective(forms, D, expected, eq_builder):
+        """The common zeros of the forms, each Newton-polished on its pair eq_builder(chart)."""
+        points, mults = solve_projective(forms, D, expected)
+        found = [(ProjPoint(x), m) for x, m in zip(_newton_polish(eq_builder, points), mults)]
         found.sort(key=lambda e: tuple(round(c, 6) for c in e[0].coords[:2].view(float)))
         return found
 
@@ -312,29 +267,16 @@ def _newton_polish(eq_builder, points) -> np.ndarray:
     return pts
 
 
-def _product_columns(da: int, db: int) -> np.ndarray:
-    """Position in degree da + db of the product of the a-th monomial of degree da and the b-th of degree db."""
-    tot = monomial_exponents(da)[:, None, :] + monomial_exponents(db)[None, :, :]
-    return monomial_position(tot[..., 0], tot[..., 1], tot[..., 2])
-
-
-def _refuse(d, unit, M, sigma):
+def _refuse(d, comps, M, sigma):
     """Raise DegenerateMap with a common zero read from the null space of M, else IllConditioned.
 
-    The null space holds the Veronese vector of every common zero.  Its rows
-    at m x_0 and at m l, over the monomials m of degree 3d - 3 and for a fixed
-    generic linear form l, form a pencil whose eigenvectors pick out those
-    vectors; each is read at m (x_0, x_1, x_2) for its largest m.
+    The null space holds the Veronese vector of every common zero; the points
+    are read from it as the solver reads its solutions.
     """
-    shift = _product_columns(3 * d - 3, 1)
     _, s, vh = np.linalg.svd(M)
-    null = vh[s <= _MACAULAY_FLOOR].conj().T
-    pencil = np.linalg.lstsq(_WITNESS_FORM @ null[shift], null[shift[:, 0]], rcond=None)[0]
-    reads = (null @ np.linalg.eig(pencil)[1])[shift]  # (m, x_j, eigenvector)
-    cands = reads[np.argmax(np.linalg.norm(reads, axis=1), axis=0), :, np.arange(reads.shape[2])]
-    cands /= np.linalg.norm(cands, axis=1)[:, None]
-    residual = np.max(np.abs(monomial_table(cands, d) @ unit.T), axis=1)
-    best = int(np.argmin(residual))
+    cands = null_space_points(vh[s <= _MACAULAY_FLOOR].conj().T, 3 * d - 2, comps)[0]
+    residual = residuals(cands, comps)
+    best = int(np.argmin(np.nan_to_num(residual, nan=np.inf)))
     if residual[best] <= _WITNESS_TOL:
         witness = ProjPoint(cands[best])
         raise DegenerateMap(f"components vanish simultaneously at {witness}", point=witness)

@@ -30,7 +30,6 @@ class RootCluster:
     root: complex
     multiplicity: int
     residual: float
-    spread: float = 0.0  # max member distance from the cluster mean
 
 
 @dataclass
@@ -263,10 +262,8 @@ def _cluster(c, dc, z, n):
     absp = _abs(_horner(c[at], np.array(means)[:, None])[:, 0]).tolist()
     out = [[] for _ in range(rows)]
     for (b, members), mean, ap in zip(groups, means, absp):
-        mult = len(members)
         res = ap / max(1.0, abs(mean)) ** n
-        spread = float(np.max(np.abs(z[b, members] - mean))) if mult > 1 else 0.0
-        out[b].append(RootCluster(mean, mult, float(res), spread))
+        out[b].append(RootCluster(mean, len(members), float(res)))
     for clusters in out:
         clusters.sort(key=lambda cl: (round(cl.root.real, 9), round(cl.root.imag, 9)))
     return out

@@ -12,7 +12,6 @@ from math import comb
 import numpy as np
 
 from .errors import IllConditioned, OrderExceedsTruncation, PositiveDimensional
-from .roots import roots_univariate
 
 #: default relative tolerance for treating a coefficient as zero
 EPS_COEF = 1e-9
@@ -285,79 +284,12 @@ def _hilbert_samuel(germs, k: int) -> int:
         W = np.lib.stride_tricks.sliding_window_view(Z, (n, n))
         blocks.append(W[n - a, n - b][:, deg <= k])
     sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    return int(np.count_nonzero(deg <= k)) - _numerical_rank(sv)
+
+
+def _numerical_rank(sv) -> int:
+    """The number of singular values above _RANK_FLOOR, refused without a _RANK_GAP gap below them."""
     kept, dropped = sv[sv > _RANK_FLOOR], sv[sv <= _RANK_FLOOR]
     if len(kept) and len(dropped) and kept[-1] < _RANK_GAP * dropped[0]:
-        raise IllConditioned(
-            f"no rank gap in the degree-{k} Macaulay matrix: singular values "
-            f"{kept[-1]:.2e} kept, {dropped[0]:.2e} dropped"
-        )
-    return int(np.count_nonzero(deg <= k)) - len(kept)
-
-
-# -- sheared resultants (shared by the affine solver and the generators) ---------
-
-
-def shear_series(C: np.ndarray, lam: complex) -> np.ndarray:
-    """Coefficients of g(s - lam*v, v) given coefficients of g(u, v)."""
-    n1, n2 = C.shape
-    n = n1 + n2  # generous output size
-    out = np.zeros((n, n), dtype=complex)
-    lam_pows = np.ones(n1, dtype=complex)
-    for k in range(1, n1):
-        lam_pows[k] = lam_pows[k - 1] * (-lam)
-    for a in range(n1):
-        binoms = np.array([comb(a, r) for r in range(a + 1)], dtype=complex)
-        for b in range(n2):
-            c = C[a, b]
-            if c == 0:
-                continue
-            # (s - lam v)^a v^b -> sum_r binom(a,r)(-lam)^r s^(a-r) v^(b+r)
-            for r in range(a + 1):
-                out[a - r, b + r] += c * binoms[r] * lam_pows[r]
-    return out
-
-
-def _share_probe(A, B, probes, tol):
-    """Do the sheared polynomials share a branch?  Probed at generic s values.
-
-    A probe where either side vanishes identically decides nothing.
-    """
-    for s0 in probes:
-        pa = s0 ** np.arange(A.shape[0]) @ A
-        pb = s0 ** np.arange(B.shape[0]) @ B
-        if np.max(np.abs(pa)) == 0 or np.max(np.abs(pb)) == 0:
-            continue
-        try:
-            rr = roots_univariate(pa)
-        except ValueError:
-            return False
-        scale = np.max(np.abs(pb))
-        hit = any(
-            abs(np.polyval(pb[::-1], cl.root))
-            <= tol * scale * max(1.0, abs(cl.root)) ** (len(pb) - 1)
-            for cl in rr.clusters
-        )
-        if not hit:
-            return False
-    return True
-
-
-def _sylvester_dets(A, B, s_values):
-    """Sylvester determinants in v of A(s, v) and B(s, v) at each s value.
-
-    Rows of A and B index powers of s and columns powers of v; the formal
-    v-degrees are the column counts minus one.
-    """
-    na = A.shape[1] - 1
-    nb = B.shape[1] - 1
-    s = np.asarray(s_values)
-    V = np.vander(s, max(A.shape[0], B.shape[0]), increasing=True)
-    Av = V[:, : A.shape[0]] @ A
-    Bv = V[:, : B.shape[0]] @ B
-    size = na + nb
-    M = np.zeros((len(s), size, size), dtype=complex)
-    for r in range(nb):
-        M[:, r, r : r + na + 1] = Av[:, ::-1]
-    for r in range(na):
-        M[:, nb + r, r : r + nb + 1] = Bv[:, ::-1]
-    return np.linalg.det(M)
+        raise IllConditioned(f"no rank gap in a Macaulay matrix: {kept[-1]:.2e} kept, {dropped[0]:.2e} dropped")
+    return len(kept)

@@ -1,193 +1,211 @@
-"""Zero-dimensional bivariate polynomial systems via sheared Sylvester resultants.
+"""Zero-dimensional projective systems from the null space of a Macaulay matrix.
 
-The second variable is eliminated after a fixed generic shear u = s - lam*v,
-so distinct solutions project to distinct s values and the v-leading
-coefficient never degenerates.  Resultants are computed by evaluation at
-roots of unity followed by an exact inverse DFT.
+When the null space of the Macaulay matrix in degree D has the dimension k of
+the expected solution count, its rows at the monomials m x_j, read against
+the rows at m l for a generic linear form l, give the matrices of
+multiplication by x_j / l on the quotient ring, whose joint eigenvalues are
+the solutions (Telen, Mourrain & Van Barel, SIMAX 39, 2018).  An eigenvector
+read that passes Smale's alpha test is a simple solution; the split
+eigenvalues of a multiple solution are grouped by the pseudospectrum and read
+through their spectral projector (Corless, Gianni & Trager, ISSAC 1997).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import IllConditioned, PositiveDimensional, SolverFailure
-from .roots import CLUSTER_RADIUS, _abs, _horner, roots_batch, roots_univariate
-from .series import AffineSeries2, _share_probe, _sylvester_dets, shear_series
+from .errors import IllConditioned, PositiveDimensional
+from .polys import homogenize_bivariate, monomial_exponents, monomial_position, n_monomials
+from .series import AffineSeries2, _numerical_rank
 
-#: deterministic shear candidates, tried in order on ambiguity
-SHEARS = (
-    complex(np.cos(1.0), np.sin(1.0)),
-    complex(np.cos(2.3), np.sin(2.3)),
-    complex(np.cos(0.4), np.sin(0.4)),
+#: generic linear forms l; the best conditioned one divides the multiplication matrices
+_FORMS = np.array(
+    [[0.6 - 0.3j, -0.4 + 0.7j, 0.5 + 0.2j], [0.3 + 0.5j, 0.7 - 0.2j, -0.4 + 0.1j], [-0.5 + 0.4j, 0.2j, 0.8 - 0.6j]]
 )
-
-_REL = 1e-9
-
-#: generic s values probing the sheared pair for a shared curve
-_CURVE_PROBES = (0.3371 + 0.7241j, -0.8112 + 0.2643j, 0.1425 - 0.9332j)
-
-
-def _dense(poly) -> np.ndarray:
-    if isinstance(poly, AffineSeries2):
-        return poly.coeffs.copy()
-    return np.asarray(poly, dtype=complex).copy()
-
-
-def _total_degree(C, rel_tol=_REL):
-    mags = np.abs(C)
-    top = mags.max()
-    if top == 0.0:
-        return -1
-    i, j = np.nonzero(mags > rel_tol * top)
-    return int((i + j).max())
+#: generic combination of the multiplication matrices whose eigenvalues are grouped
+_COMBO = np.array([0.83 + 0.21j, -0.37 + 0.54j, 0.19 - 0.72j])
+#: Smale's constant: alpha below it certifies quadratic Newton convergence to a simple zero
+_ALPHA = (13 - 3 * 17**0.5) / 4
+#: two eigenvalues are one point when zI - M at their midpoint z has a singular value below this times |M|
+_LINK = 1e-10
+#: trapezoid nodes of the spectral projector of a group
+_NODES = 32
+#: largest relative residual of a returned point that the alpha test does not certify
+_BACKWARD_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
-def _trim_degree(C, deg):
-    out = np.zeros((deg + 1, deg + 1), dtype=complex)
-    n1 = min(C.shape[0], deg + 1)
-    n2 = min(C.shape[1], deg + 1)
-    out[:n1, :n2] = C[:n1, :n2]
-    i = np.arange(deg + 1)
-    out[(i[:, None] + i[None, :]) > deg] = 0.0
-    return out
+def _product_columns(da: int, db: int) -> np.ndarray:
+    """Position in degree da + db of the product of the a-th monomial of degree da and the b-th of degree db."""
+    tot = monomial_exponents(da)[:, None, :] + monomial_exponents(db)[None, :, :]
+    return monomial_position(tot[..., 0], tot[..., 1], tot[..., 2])
 
 
-def solve_affine_system(a, b, trust_radius=None):
-    """Common zeros of two bivariate polynomials with clustered multiplicities.
+def macaulay_matrix(forms, D: int) -> np.ndarray:
+    """Rows x^alpha g / |g| over the forms g and the monomials x^alpha of degree D - deg g."""
+    blocks = []
+    for g in forms:
+        cols = _product_columns(D - g.degree, g.degree)
+        block = np.zeros((len(cols), n_monomials(D)), dtype=complex)
+        block[np.arange(len(cols))[:, None], cols] = g.coeffs / max(np.linalg.norm(g.coeffs), 1e-300)
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+def residuals(points, forms) -> np.ndarray:
+    """max_g |g(x)| / |g| at each unit vector x."""
+    return np.max([np.abs(g.eval_batch(points)) / max(np.linalg.norm(g.coeffs), 1e-300) for g in forms], axis=0)
+
+
+def solve_projective(forms, D: int, k: int):
+    """The k common zeros, counted with multiplicity, of homogeneous forms in P^2.
+
+    D must be a degree at which the quotient by the forms has dimension k in
+    degrees D - 1 and D.  Returns unit vectors (rows) and their multiplicities,
+    which sum to k.  A null space larger than k raises PositiveDimensional; no
+    singular-value gap at nullity k raises IllConditioned, and so does a point
+    that neither passes Smale's alpha test, which certifies a simple zero
+    nearby, nor fits the forms within _BACKWARD_TOL.
+    """
+    _, s, vh = np.linalg.svd(macaulay_matrix(forms, D))
+    nullity = len(vh) - _numerical_rank(s)
+    if nullity > k:
+        raise PositiveDimensional(f"Macaulay matrix in degree {D} has nullity {nullity} > {k}")
+    if nullity < k:
+        raise IllConditioned(f"Macaulay matrix in degree {D} has nullity {nullity} < {k}")
+    null = vh[-k:].conj().T
+    del vh  # here and in null_space_points, arrays go once used: it bounds the peak memory of large solves
+    points, mults, simple = null_space_points(null, D, forms)
+    worst = np.max(residuals(points, forms), where=~simple, initial=0.0)
+    if not worst <= _BACKWARD_TOL:
+        raise IllConditioned(f"a point read from the null space fails the alpha test and has residual {worst:.2e}")
+    return points, mults
+
+
+def null_space_points(null, D: int, forms):
+    """Points, multiplicities and alpha certificates from the forms' Macaulay null space in degree D.
+
+    ``null`` holds a basis of the null space in its columns.  Of the forms
+    _FORMS, the one whose rows m l have the least condition number divides
+    the multiplication matrices, so that no point lies near l = 0.  Each
+    eigenvalue of a generic combination of these matrices is read off its
+    eigenvector: the null vector at m x_j over the monomial m of degree D - 1
+    with the largest such row.  A read that passes Smale's alpha test is a
+    simple point, certified.  The other eigenvalues are joined by ``_links``
+    into points, each read by ``_projector_read``.
+    """
+    k = null.shape[1]
+    shift = _product_columns(D - 1, 1)
+    rows = null[shift]  # (m, x_j, basis)
+    divisors = np.einsum("lj,mjb->lmb", _FORMS, rows)
+    mult = np.linalg.lstsq(divisors[np.argmin(np.linalg.cond(divisors))], rows.reshape(len(shift), -1), rcond=None)[0]
+    del rows, divisors
+    mats = mult.reshape(k, 3, k).transpose(1, 0, 2)  # multiplication by x_j / l
+    combo = np.tensordot(_COMBO, mats, 1)
+    lam, vecs = np.linalg.eig(combo)
+    reads = (null @ vecs)[shift]
+    points = reads[np.argmax(np.linalg.norm(reads, axis=1), axis=0), :, np.arange(k)]
+    del reads
+    simple = _alpha(points, forms) < _ALPHA
+    label = np.arange(k)
+    for i, j in _links(combo, lam, ~simple):
+        label[label == label[i]] = label[j]
+    groups = [np.flatnonzero(label == t) for t in np.unique(label)]
+    for g in groups:
+        if len(g) > 1:
+            points[g[0]] = _projector_read(mats, combo, lam, g)
+    heads = [g[0] for g in groups]
+    return points[heads] / np.linalg.norm(points[heads], axis=1)[:, None], [len(g) for g in groups], simple[heads]
+
+
+def _alpha(points, forms) -> np.ndarray:
+    """Smale's alpha = beta gamma at each point (Smale, "Newton's method estimates from data at one point", 1986).
+
+    For the forms at unit coefficient norm, beta is the Newton step in the
+    tangent space x-perp of the unit point x, floored at the rounding
+    eps / sigma (sigma the least singular value of the Jacobian J), and gamma
+    is estimated by its second-order term |J^+ D^2 g| / 2.  A read of a
+    multiple point has alpha of order one however accurate it is.
+    """
+    x = points / np.linalg.norm(points, axis=1)[:, None]
+    units = [g.scale(1.0 / np.linalg.norm(g.coeffs)) for g in forms]
+    firsts = [[g.partial(v) for v in range(3)] for g in units]
+    grads = np.array([[h.eval_batch(x) for h in r] for r in firsts]).transpose(2, 0, 1)
+    hess = np.array([[[h.partial(w).eval_batch(x) for w in range(3)] for h in r] for r in firsts]).transpose(3, 0, 1, 2)
+    values = np.einsum("nfv,nv->nf", grads, x) / [g.degree for g in forms]  # Euler's identity
+    tangent = np.linalg.svd(x.conj()[:, None, :])[2][:, 1:].conj().transpose(0, 2, 1)
+    u, sv, vh = np.linalg.svd(grads @ tangent, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pinv = np.einsum("nba,nb,nfb->naf", vh.conj(), 1.0 / sv, u.conj())
+        beta = np.linalg.norm(np.einsum("naf,nf->na", pinv, values), axis=1) + _EPS / sv[:, -1]
+        curvature = np.einsum("naf,nvb,nfvw,nwc->nabc", pinv, tangent, hess, tangent)
+        return beta * np.linalg.norm(curvature.reshape(len(x), -1), axis=1) / 2
+
+
+def _links(combo, lam, candidates):
+    """Pairs (i, j) of candidate eigenvalues that belong to one point.
+
+    Two eigenvalues are linked when zI - combo has a singular value at most
+    _LINK |combo| at their midpoint z, so that z lies in a pseudospectrum
+    component of both.  The split eigenvalues of a multiple point meet this
+    by orders of magnitude; distinct points miss it by as many.  Only
+    Gabriel pairs are tested, whose midpoint has no third eigenvalue nearer
+    than the pair.
+    """
+    i, j = np.nonzero(np.triu(np.outer(candidates, candidates), 1))
+    mid = (lam[i] + lam[j]) / 2
+    third = np.abs(mid[:, None] - lam[None, :])
+    third[np.arange(len(i)), i] = third[np.arange(len(i)), j] = np.inf
+    keep = np.min(third, axis=1, initial=np.inf) >= np.abs(lam[i] - lam[j]) / 2
+    i, j, mid = i[keep], j[keep], mid[keep]
+    sigma = np.linalg.svd(mid[:, None, None] * np.eye(len(lam)) - combo, compute_uv=False)[:, -1]
+    near = sigma <= _LINK * np.linalg.norm(combo, 2)
+    return zip(i[near], j[near])
+
+
+def _projector_read(mats, combo, lam, group):
+    """The point (tr(P M_j))_j for the spectral projector P of the group's eigenvalues.
+
+    P is I for a group of every eigenvalue, else the trapezoid rule of the
+    resolvent on a circle about the group's mean, of radius the geometric
+    mean of the group's radius and its distance d to the others, but at least
+    d / 4, as the resolvent of a defective group is large close to it.  NaN
+    when no such circle separates the group or tr(P) misses its size.
+    """
+    k = len(lam)
+    if len(group) == k:
+        return np.trace(mats, axis1=1, axis2=2)
+    centre = lam[group].mean()
+    inner = np.max(np.abs(lam[group] - centre))
+    outer = np.min(np.abs(np.delete(lam, group) - centre))
+    if inner >= outer:
+        return np.full(3, np.nan)
+    z = centre + outer * max(np.sqrt(inner / outer), 0.25) * np.exp(2j * np.pi * (np.arange(_NODES) + 0.5) / _NODES)
+    rhs = np.concatenate([np.eye(k)[None], mats]).transpose(1, 0, 2).reshape(k, -1)
+    resolvents = np.linalg.solve(z[:, None, None] * np.eye(k) - combo, rhs[None])
+    traces = (z - centre) @ np.trace(resolvents.reshape(_NODES, k, 4, k), axis1=1, axis2=3) / _NODES
+    return traces[1:] if round(traces[0].real) == len(group) else np.full(3, np.nan)
+
+
+def solve_affine_system(a, b):
+    """Common zeros ((u, v), multiplicity) of two bivariate polynomials, points at infinity dropped.
 
     Accepts dense coefficient arrays ``C[i, j]`` for u^i v^j or
-    ``AffineSeries2`` values used as exact polynomials (truncation at least
-    their degree).  Returns a list of ((u, v), multiplicity).
-
-    With a ``trust_radius`` the solver only reports solutions with both
-    coordinates inside that radius and silently drops resultant roots beyond
-    it; chart-based callers rely on another chart covering the far range.
+    ``AffineSeries2`` values used as exact polynomials.  Coefficients below
+    1e-9 of the largest are dropped, and the pair, homogenised to
+    [u : v : 1], is solved by ``solve_projective``.
     """
-    A0 = _dense(a)
-    B0 = _dense(b)
-    dA = _total_degree(A0)
-    dB = _total_degree(B0)
-    if dA < 0 or dB < 0:
-        raise PositiveDimensional("an input polynomial is identically zero")
-    if dA == 0 or dB == 0:
+    forms = []
+    for poly in (a, b):
+        C = np.asarray(poly.coeffs if isinstance(poly, AffineSeries2) else poly, dtype=complex)
+        if not np.any(C):
+            raise PositiveDimensional("an input polynomial is identically zero")
+        total = np.add.outer(np.arange(C.shape[0]), np.arange(C.shape[1]))
+        degree = int(total[np.abs(C) > 1e-9 * np.abs(C).max()].max())
+        forms.append(homogenize_bivariate(np.where(total <= degree, C, 0.0), 2, degree))
+    if min(g.degree for g in forms) == 0:
         return []
-    A0 = _trim_degree(A0, dA) / np.max(np.abs(A0))
-    B0 = _trim_degree(B0, dB) / np.max(np.abs(B0))
-
-    last_exc = None
-    for lam in SHEARS:
-        try:
-            return _solve_sheared(A0, B0, dA, dB, lam, trust_radius)
-        except IllConditioned as exc:
-            last_exc = exc
-    raise last_exc
-
-
-def _solve_sheared(A0, B0, dA, dB, lam, trust_radius):
-    A = shear_series(A0, lam)
-    B = shear_series(B0, lam)
-    # post-shear the v-degree equals the total degree with a constant leading
-    # coefficient (top form evaluated along the shear direction)
-    lead_a = np.max(np.abs(A[:, dA]))
-    lead_b = np.max(np.abs(B[:, dB]))
-    if lead_a < 1e-8 or lead_b < 1e-8:
-        raise IllConditioned("shear direction hits a top-form root")
-    A = A[: dA + 1, : dA + 1]
-    B = B[: dB + 1, : dB + 1]
-
-    if _share_probe(A, B, _CURVE_PROBES, 1e-6):
-        raise PositiveDimensional("resultant vanishes identically at tolerance")
-    # samples sit at exp(+2 pi i k / N), so coefficients come from fft/N
-    N = dA * dB + 1
-    s = np.exp(2j * np.pi * np.arange(N) / N)
-    res = np.fft.fft(_sylvester_dets(A, B, s)) / N
-    top = float(np.max(np.abs(res)))
-    if top == 0.0:
-        raise SolverFailure("resultant cancellation below working precision")
-    res = res / top
-    if _total_degree(res.reshape(-1, 1), 1e-10) == 0:
-        return []
-
-    rr = roots_univariate(res)
-    if not rr.converged:
-        raise SolverFailure("resultant root iteration did not converge")
-
-    s_trust = None if trust_radius is None else trust_radius * (1.0 + abs(lam)) + 1.0
-    kept = [cl for cl in rr.clusters if s_trust is None or abs(cl.root) <= s_trust]
-    # the v-polynomials of A and B over every kept resultant root, solved together
-    fibres = [
-        (cl.root ** np.arange(A.shape[0]) @ A, cl.root ** np.arange(B.shape[0]) @ B)
-        for cl in kept
-    ]
-    found = roots_batch([co for pair in fibres for co in pair])
-    solutions = []
-    for cl, (aco, bco), ra, rb in zip(kept, fibres, found[::2], found[1::2]):
-        s0 = cl.root
-        cands = [c.root for c in ra.clusters + rb.clusters]
-        try:
-            v0 = _back_substitute(aco, bco, dA, dB, cands, s0, cl.spread)
-        except IllConditioned:
-            if s_trust is not None and abs(s0) > 0.7 * s_trust:
-                continue  # marginal root; the point lives in another chart
-            raise
-        u0 = s0 - lam * v0
-        if trust_radius is not None and max(abs(u0), abs(v0)) > trust_radius:
-            continue
-        solutions.append(((u0, v0), cl.multiplicity))
-
-    return _merge_points(solutions, CLUSTER_RADIUS)
-
-
-def _back_substitute(aco, bco, dA, dB, cands, s0, s_spread):
-    """The v over resultant root ``s0``, picked from the roots ``cands`` of ``aco`` and ``bco``."""
-    norm_a, norm_b = np.max(np.abs(aco)), np.max(np.abs(bco))
-    vs = np.array(cands, dtype=complex)
-    big = [max(1.0, abs(v)) for v in cands]
-    # abs() as hypot and the scalar power, as in scalar scoring, keep each
-    # score to its last bit: sorting and acceptance compare them
-    sa = (_abs(_horner(aco, vs)) / [g**dA for g in big]).tolist()
-    sb = (_abs(_horner(bco, vs)) / [g**dB for g in big]).tolist()
-    scores = [max(a / norm_a, b / norm_b) for a, b in zip(sa, sb)]
-    scored = sorted(zip(scores, vs.real.tolist(), vs.imag.tolist(), cands))
-    best = scored[0][0]
-    accepted = [v for sc, _, _, v in scored if sc <= max(5.0 * best, 1e-7)]
-
-    groups = _cluster_values(accepted, CLUSTER_RADIUS)
-    if len(groups) == 1:
-        return complex(np.mean(groups[0]))
-    spread = max(
-        abs(x - y) for g1 in groups for x in g1 for g2 in groups for y in g2
-    )
-    vmax = max(abs(v) for v in accepted)
-    # the fiber scatter inherits the uncertainty of a multiple resultant root
-    window = max(1e-3 * (1.0 + vmax), 4.0 * s_spread)
-    if spread <= window:
-        return complex(np.mean(accepted))
-    raise IllConditioned(
-        f"ambiguous fiber over resultant root {s0!r}: {len(groups)} candidates"
-    )
-
-
-def _cluster_values(values, radius):
-    groups = []
-    for v in values:
-        for g in groups:
-            if abs(v - g[0]) <= radius:
-                g.append(v)
-                break
-        else:
-            groups.append([v])
-    return groups
-
-
-def _merge_points(solutions, radius):
-    merged = []
-    for (pt, mult) in solutions:
-        for entry in merged:
-            if abs(pt[0] - entry[0][0]) <= radius and abs(pt[1] - entry[0][1]) <= radius:
-                entry[1] += mult
-                break
-        else:
-            merged.append([pt, mult])
-    merged.sort(key=lambda e: (round(e[0][0].real, 9), round(e[0][0].imag, 9), round(e[0][1].real, 9)))
-    return [((complex(pt[0]), complex(pt[1])), int(m)) for pt, m in merged]
+    points, mults = solve_projective(forms, forms[0].degree + forms[1].degree - 1, forms[0].degree * forms[1].degree)
+    finite = np.abs(points[:, 2]) > _BACKWARD_TOL
+    sols = [((complex(p[0] / p[2]), complex(p[1] / p[2])), m) for p, m, keep in zip(points, mults, finite) if keep]
+    return sorted(sols, key=lambda e: (round(e[0][0].real, 9), round(e[0][0].imag, 9), round(e[0][1].real, 9)))

@@ -35,7 +35,7 @@ def ladder_local_degree(f, q) -> int:
     counts = []
     for k in range(3):
         delta = delta_star / 10.0**k
-        target = ProjPoint.from_chart(chart, base + delta * _DIR)
+        target = ProjPoint(np.insert(base + delta * _DIR, chart, 1.0))
         rho = _RHO_FACTOR * delta ** (1.0 / e_max)
         fib = f.preimages(target)
         counts.append(sum(m for x, m in fib.preimages if q.dist(x) <= rho))

@@ -128,8 +128,7 @@ def _cluster(c, z, n):
         if mult == 1:
             mean = _polish(c, mean)
         res = abs(_horner(c, np.array([mean]))[0]) / max(1.0, abs(mean)) ** n
-        spread = float(np.max(np.abs(pts - mean))) if mult > 1 else 0.0
-        clusters.append(RootCluster(mean, mult, float(res), spread))
+        clusters.append(RootCluster(mean, mult, float(res)))
     clusters.sort(key=lambda cl: (round(cl.root.real, 9), round(cl.root.imag, 9)))
     return clusters
 

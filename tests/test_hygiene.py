@@ -1,11 +1,13 @@
 """Dead-code guard: every private module-level function and constant of the library is
 used, and every error class is raised.  Error guard: no handler catches more than the
-package's own errors.
+package's own errors.  Dependency guard: the library imports no third-party module but
+numpy.
 
 Other public names are not checked, because tests use some of them as oracles.
 """
 
 import ast
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -98,3 +100,20 @@ def test_no_broad_except():
                 if any(c is None or getattr(c, "id", None) in ("Exception", "BaseException") for c in caught):
                     broad.append(f"{path.name}:{node.lineno}")
     assert broad == []
+
+
+def test_runtime_imports_numpy_only():
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "numpy" and top != "__future__" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []

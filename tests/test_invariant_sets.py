@@ -5,10 +5,12 @@ from conftest import conjugate, make_map, random_valid_map
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, parse_poly
 from greenp2.errors import ComponentInvalid
 from greenp2.invariant_sets import (
+    LIFT_DEGREE_CAP,
     _arc_vanishing_order,
     _canonical_coeffs,
     _component_sample,
     _divides_jacobian,
+    _iterate_map,
     _orbit_totally_invariant,
     _orthonormal_completion,
     _transverse_direction,
@@ -23,7 +25,7 @@ from greenp2.invariant_sets import (
     transition_matrix,
 )
 from greenp2.multiplicities import jacobian_multiplicity
-from greenp2.polys import HomogPoly3
+from greenp2.polys import HomogPoly3, monomial_exponents
 from invariance_reference import fibre_totally_invariant, slope_vanishing_order
 
 
@@ -42,6 +44,19 @@ def rotations(f, count, seed):
     for _ in range(count):
         phases = np.append(np.exp(2j * np.pi * rng.uniform(size=2)), 1.0)
         yield conjugate(f, np.diag(phases))
+
+
+def structure_maps():
+    """The maps of the structure benchmark: each row at d = 2 and 3 (seed 1000),
+    conjugated by one diagonal unitary matrix diag(e^ia, e^ib, 1) drawn in turn
+    from one generator of seed 1, which scales the coefficients exactly."""
+    rng = np.random.default_rng(1)
+    for d in (2, 3):
+        for row in CONFIGURATION_IDS:
+            phases = np.append(np.exp(2j * np.pi * rng.uniform(size=2)), 1.0)
+            scale = np.prod(phases ** monomial_exponents(d), axis=1)
+            comps = [HomogPoly3(d, c.coeffs * scale / phases[i]) for i, c in enumerate(row_map(row, d).components)]
+            yield row, ProjMap.validate(comps)
 
 
 def normal_form_factor_count(row, d):
@@ -186,6 +201,38 @@ class TestInvariantPoints:
         assert len(pts) == 3
         for c in np.eye(3):
             assert any(p.dist(ProjPoint(c)) < 1e-8 for p in pts)
+
+
+class TestIterateSolves:
+    """invariant_orbits solves the fixed points of every iterate lift of degree
+    up to LIFT_DEGREE_CAP.  On the structure maps all 45 solves give e^2 + e + 1
+    simple fixed points; 17 of them raised before the Macaulay null-space
+    solver."""
+
+    #: invariant_points counts of the structure maps, the same as when those
+    #: 17 solves were skipped
+    POINTS = {"1-0": 0, "0-1": 1, "1-1-incident": 1, "1-1-free": 1, "1-2": 2, "2-1": 1, "2-2": 2, "2-3": 3, "3-3": 3}
+
+    def test_every_iterate_solve_completes(self):
+        solves = 0
+        for _, f in structure_maps():
+            for k in range(1, 4):
+                e = f.degree**k
+                if e > LIFT_DEGREE_CAP:
+                    break
+                g = _iterate_map(f, k)
+                fixed = g.fixed_points()
+                assert [m for _, m in fixed] == [1] * (e * e + e + 1)
+                assert max(g.apply(p).dist(p) for p, _ in fixed) < 1e-8
+                solves += 1
+        assert solves == 45
+
+    def test_invariant_points_unchanged(self):
+        for row, f in structure_maps():
+            pts = invariant_points(f)
+            assert len(pts) == self.POINTS[row], (row, f.degree)
+            for p in pts:
+                assert min(f.apply(p).dist(q) for q in pts) < 1e-10
 
 
 class TestTransitionMatrix:

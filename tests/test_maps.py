@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import conjugate, make_map, random_valid_map
-from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, maps, parse_poly, systems
+from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, lattes_map, maps, parse_poly, systems
 from greenp2.errors import ChartUndefined, DegenerateMap, DegreeMismatch, GreenP2Error
 from greenp2.multiplicities import local_degree_step, orbit_report
 
@@ -86,14 +86,14 @@ class TestValidate:
 
     def test_no_solver_calls(self, monkeypatch):
         calls = []
-        solve = systems.solve_affine_system
+        solve = systems.solve_projective
 
         def counted(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
         for module in (systems, maps):
-            monkeypatch.setattr(module, "solve_affine_system", counted)
+            monkeypatch.setattr(module, "solve_projective", counted)
         ProjMap.validate(power_components(3))
         configuration_map("1-1-incident", 4, 1000)
         with pytest.raises(DegenerateMap):
@@ -195,6 +195,14 @@ class TestFixedPoints:
         b = power_map.fixed_points()
         assert all(p.dist(q) == 0 and m == k for (p, m), (q, k) in zip(a, b))
 
+    def test_defect_map_d4(self):
+        """configuration_map('0-1', 4, 2003) has 21 simple fixed points."""
+        f = configuration_map("0-1", 4, 2003)
+        fp = f.fixed_points()
+        assert [m for _, m in fp] == [1] * 21
+        for p, _ in fp:
+            assert backward_error(f, p, p) <= 1e-12
+
     def test_random_maps_fixed_points_verify(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -223,6 +231,30 @@ class TestPreimages:
         assert len(fib.preimages) == 1
         assert fib.preimages[0][1] == 4
         assert fib.preimages[0][0].dist(ProjPoint([0, 0, 1])) < 1e-3
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_power_map_fibres(self, d):
+        """Under z^d : w^d : t^d the vertex [0:0:1] has one preimage of
+        multiplicity d^2, the edge point [1:0:1] has d of multiplicity d, and a
+        generic point has d^2 simple ones."""
+        f = ProjMap.validate(power_components(d))
+        vertex = f.preimages(ProjPoint([0, 0, 1])).preimages
+        assert [m for _, m in vertex] == [d * d]
+        assert vertex[0][0].dist(ProjPoint([0, 0, 1])) < 1e-4
+        edge = f.preimages(ProjPoint([1, 0, 1])).preimages
+        assert [m for _, m in edge] == [d] * d
+        for x, _ in edge:
+            assert abs(x.coords[1]) < 1e-4 and abs(abs(x.coords[0]) - abs(x.coords[2])) < 1e-4
+        generic = f.preimages(ProjPoint([0.3 + 0.1j, -0.7, 1.0])).preimages
+        assert [m for _, m in generic] == [1] * (d * d)
+
+    def test_lattes_three_triple_points(self):
+        """[0:1:-1] has three distinct preimages of multiplicity 3 under the
+        degree-3 Lattes map; merging them into one point miscounts."""
+        fib = lattes_map(3).preimages(ProjPoint([0, 1, -1]))
+        points = [x for x, _ in fib.preimages]
+        assert [m for _, m in fib.preimages] == [3, 3, 3]
+        assert min(x.dist(y) for i, x in enumerate(points) for y in points[i + 1 :]) > 0.1
 
     def test_random_fibers_complete_and_correct(self):
         """Every preimage maps back within 1e-6 and multiplicities reach d^2."""

@@ -85,7 +85,6 @@ def _fields(rr):
         rr.iterations,
         [c.root for c in rr.clusters],
         [c.multiplicity for c in rr.clusters],
-        [c.spread for c in rr.clusters],
         [c.residual for c in rr.clusters],
     )
 

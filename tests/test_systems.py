@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-import greenp2.roots
-import greenp2.systems
-from conftest import random_valid_map
-from greenp2 import ProjPoint
-from greenp2.errors import IllConditioned, PositiveDimensional
-from greenp2.systems import SHEARS, solve_affine_system
+from greenp2.errors import PositiveDimensional
+from greenp2.systems import solve_affine_system
 
 
 def dense(entries, size=4):
@@ -80,58 +76,3 @@ def test_random_bidegree_generic_count():
 def _ev(C, u, v):
     nu, nv = C.shape
     return (u ** np.arange(nu)) @ C @ (v ** np.arange(nv))
-
-
-def test_trust_radius_filters_far_solutions():
-    # roots at u = 10 and u = 0.5 on the diagonal
-    A = dense({(0, 0): 5.0, (1, 0): -10.5, (2, 0): 1.0})
-    B = dense({(0, 1): 1, (1, 0): -1})
-    sols = solve_affine_system(A, B, trust_radius=2.0)
-    assert len(sols) == 1
-    assert abs(sols[0][0][0] - 0.5) < 1e-8
-
-
-def _record_sheared(monkeypatch):
-    """Wrap _solve_sheared; each call appends [lam, outcome, root-finder calls]."""
-    calls = []
-    solve, find = greenp2.systems._solve_sheared, greenp2.roots.roots_batch
-
-    def counting_find(rows):
-        calls[-1][2] += 1
-        return find(rows)
-
-    def recording_solve(A0, B0, dA, dB, lam, trust_radius):
-        calls.append([lam, "ok", 0])
-        try:
-            return solve(A0, B0, dA, dB, lam, trust_radius)
-        except IllConditioned:
-            calls[-1][1] = "ill-conditioned"
-            raise
-
-    monkeypatch.setattr(greenp2.systems, "_solve_sheared", recording_solve)
-    monkeypatch.setattr(greenp2.systems, "roots_batch", counting_find)
-    monkeypatch.setattr(greenp2.roots, "roots_batch", counting_find)
-    return calls
-
-
-def test_shear_retry_recovers_both_points(monkeypatch):
-    """Both common zeros share one sheared s under SHEARS[0]; SHEARS[1] separates them."""
-    lam = SHEARS[0]
-    A = dense({(0, 2): 1, (0, 1): -1})  # v^2 - v
-    B = dense({(1, 0): 1, (0, 1): lam - 0.7, (0, 2): 0.7})  # u + lam v + 0.7 (v^2 - v)
-    calls = _record_sheared(monkeypatch)
-    sols = solve_affine_system(A, B, trust_radius=4.0)
-    assert [c[:2] for c in calls] == [[SHEARS[0], "ill-conditioned"], [SHEARS[1], "ok"]]
-    assert [m for _, m in sols] == [1, 1]
-    for wu, wv in [(0.0, 0.0), (-lam, 1.0)]:
-        assert min(abs(u - wu) + abs(v - wv) for (u, v), _ in sols) < 1e-8
-
-
-def test_back_substitution_is_one_batch(monkeypatch):
-    """Probe, resultant and one batch for all fibres: at most 3 root-finder calls per shear."""
-    f = random_valid_map(np.random.default_rng(303), d=3)
-    calls = _record_sheared(monkeypatch)
-    fiber = f.preimages(ProjPoint([0.3 + 0.1j, -0.7, 1.0]))
-    assert fiber.total_multiplicity == 9
-    assert calls
-    assert max(c[2] for c in calls) <= 3
