@@ -21,7 +21,7 @@ from greenp2 import (
 print("configuration round trip (degree 2, one seed each):")
 for rid in CONFIGURATION_IDS:
     f = configuration_map(rid, 2, rng_seed=7)
-    sets = exceptional_sets(f, 3)
+    sets = exceptional_sets(f)
     row = classify(sets)
     kinds = ",".join(kind for _, kind in sets.e2_points) or "-"
     mark = "ok" if row.row_id == rid else "MISMATCH"
@@ -37,7 +37,7 @@ print(f"  non-negative eigenvector {np.round(tm.perron, 6).tolist()}")
 
 print("\nthe product-quotient map has no exceptional structure at all:")
 lam = lattes_map(2)
-sets = exceptional_sets(lam, 3)
+sets = exceptional_sets(lam)
 tm = transition_matrix(lam)
 print(f"  lines: {len(sets.e1_lines)}, points: {len(sets.e2_points)}, "
       f"totally invariant orbits: {len(invariant_points(lam))}")

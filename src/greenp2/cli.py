@@ -96,7 +96,7 @@ def build_parser():
     common(p, n=3)
 
     p = sub.add_parser("classify", help="exceptional-set configuration")
-    common(p, n=3)
+    common(p)
 
     p = sub.add_parser("equidist", help="curve-pullback equidistribution distances")
     common(p, samples=10000, n=8, tol=1e-6)
@@ -214,7 +214,7 @@ def _cmd_mult(args, seed):
 
 def _cmd_invariants(args, seed):
     f = _load_map(args)
-    sets = exceptional_sets(f, horizon=max(args.n, 2))
+    sets = exceptional_sets(f)
     tm = transition_matrix(f)
     inv_pts = invariant_points(f)
     flags = []
@@ -247,7 +247,7 @@ def _cmd_invariants(args, seed):
 
 def _cmd_classify(args, seed):
     f = _load_map(args)
-    sets = exceptional_sets(f, horizon=max(args.n, 2))
+    sets = exceptional_sets(f)
     row = classify(sets)
     report = {
         "command": "classify",

@@ -3,11 +3,16 @@
 A totally invariant line {l = 0}, with l o F = lambda * l^d in coefficients,
 is a linear factor of the lift Jacobian: the map ramifies to order d - 1 along
 it.  The linear factors are found exactly, as lines through roots of the
-Jacobian's restrictions to two fixed probe lines.  On each invariant line the
-map restricts to a degree-d rational self-map of the line, and totally
-invariant periodic orbits of the restriction are the line-borne exceptional
-points.  Off the lines, exceptional points are fixed points whose one-step
-contraction order equals the degree (pencil-preserving points).
+Jacobian's restrictions to two fixed probe lines.  The same fit between two
+factors, l' o F = lambda * l^d, says that {l' = 0} pulls back to {l = 0}; the
+cycles of this map on lines are the periodic lines.
+
+The totally invariant points come from f alone: its fixed points, and the
+points where F restricted from a periodic line onto its image line is
+(d - 1)-fold critical, kept where the local degree is d^2 and the orbit
+returns.  The exceptional points are those on the invariant lines, and the
+fixed points whose one-step contraction order equals the degree
+(pencil-preserving points).
 """
 
 from __future__ import annotations
@@ -17,20 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ComponentInvalid,
-    GreenP2Error,
-    NonIntegerOrder,
-    NotSuperattracting,
-)
+from .errors import ComponentInvalid, NonIntegerOrder, NotSuperattracting
 from .maps import ProjMap, ProjPoint, _unit_phase
-from .multiplicities import contraction_order, jacobian_multiplicity, local_degree_step
+from .multiplicities import contraction_order, local_degree_step
 from .polys import HomogPoly3, monomial_exponents
-from .roots import roots_batch, roots_univariate, strip_trailing
+from .roots import roots_batch, strip_trailing
 
 LINE_TOL = 1e-7
-#: iterate lifts of degree up to this cap are solved for their fixed points
-LIFT_DEGREE_CAP = 10
 #: two fixed lines, spanned by points off the coordinate lines, whose coefficients
 #: have near-equal moduli: far from the vertices, where structured maps put pencils
 _PROBE_LINES = (
@@ -84,32 +82,50 @@ def _canonical_coeffs(v):
 
 def invariant_lines(f: ProjMap):
     """The linear factors of the Jacobian with l o F = lambda l^d, at most three."""
-    fits = [(form, m, *_invariance_fit(f, form.coeffs)) for form, m in _linear_factors(f)]
-    found = [InvariantLine(form, complex(lam), res, m) for form, m, lam, res in fits if res <= LINE_TOL]
+    return _invariant_lines(_line_images(f))
+
+
+def _invariant_lines(images):
+    found = [InvariantLine(form, complex(lam), res, m) for i, (form, m, j, lam, res) in enumerate(images) if j == i]
     found = sorted(found, key=lambda L: L.residual)[:3]
     found.sort(key=lambda L: tuple(np.round(np.abs(L.form.coeffs), 6)))
     return found
 
 
-def _invariance_fit(f: ProjMap, ell):
-    """Least-squares lambda in l o F = lambda l^d, and the relative coefficient residual."""
-    u = ell @ np.stack([p.coeffs for p in f.components])  # coefficients of l o F
-    v = HomogPoly3(1, ell).power(f.degree).coeffs
+def _line_images(f: ProjMap):
+    """(form, multiplicity, j, lambda, residual) for each linear factor l_i of
+    the Jacobian: j is the index of the factor with F^-1 {l_j = 0} = {l_i = 0},
+    that is l_j o F = lambda l_i^d, of the best fit; None if no fit holds.
+    """
+    factors = _linear_factors(f)
+    out = []
+    for form, m in factors:
+        fits = [_pullback_fit(f, form.coeffs, target.coeffs) for target, _ in factors]
+        j = min(range(len(fits)), key=lambda k: fits[k][1])
+        lam, res = fits[j]
+        out.append((form, m, j if res <= LINE_TOL else None, lam, res))
+    return out
+
+
+def _pullback_fit(f: ProjMap, source, target):
+    """Least-squares lambda in target o F = lambda source^d, and the relative coefficient residual."""
+    u = target @ np.stack([p.coeffs for p in f.components])  # coefficients of target o F
+    v = HomogPoly3(1, source).power(f.degree).coeffs
     lam = np.sum(np.conj(v) * u) / np.sum(np.abs(v) ** 2)
     scale = max(1.0, max(p.coeff_norm for p in f.components))
     return lam, float(np.linalg.norm(u - lam * v)) / scale
 
 
-# -- restriction of the map to an invariant line ---------------------------------
+# -- restriction of the map to a line ---------------------------------------------
 
 
 @dataclass
 class LineRestriction:
-    """Degree-d self-map of a line as a pair of binary forms in (s, u)."""
+    """Degree-d map from a line to a line as a pair of binary forms in (s, u)."""
 
     num: np.ndarray  # coefficients, num[m] for s^(d-m) u^m
     den: np.ndarray
-    basis: tuple
+    basis: tuple  # of the source line
     residual: float
 
     @property
@@ -123,14 +139,16 @@ class LineRestriction:
         return _p1_normalize((self.num @ pows, self.den @ pows))
 
 
-def line_restriction(f: ProjMap, line: InvariantLine) -> LineRestriction:
-    b1, b2 = line.basis()
+def line_restriction(f: ProjMap, source, target=None) -> LineRestriction:
+    """F from the line {source = 0} to the line {target = 0}, by default the same
+    line, in the bases of ``_line_basis``; both lines are coefficient vectors."""
+    b1, b2 = _line_basis(source)
     d = f.degree
     npts = d + 2
     theta = np.exp(2j * np.pi * np.arange(npts) / npts)
     pts = b1[None, :] + theta[:, None] * b2[None, :]
     images = f.lift(pts)  # (npts, 3)
-    basis_mat = np.stack([b1, b2], axis=1)  # (3, 2)
+    basis_mat = np.stack(_line_basis(source if target is None else target), axis=1)  # (3, 2)
     coords, res, *_ = np.linalg.lstsq(basis_mat, images.T, rcond=None)
     normal_res = float(
         np.max(np.linalg.norm(images.T - basis_mat @ coords, axis=0))
@@ -147,158 +165,83 @@ def _p1_normalize(pair):
     return (complex(v[0]), complex(v[1]))
 
 
-def _p1_dist(a, b):
-    # wedge form of the chordal distance (no cancellation near zero)
-    return min(1.0, abs(a[0] * b[1] - a[1] * b[0]))
+def _wronskian_points(f: ProjMap, pairs):
+    """Points of each source line where F restricted to the target line is
+    (d - 1)-fold critical.
 
-
-def _p1_preimages(rest: LineRestriction, q):
-    """Preimages on the line with multiplicities: roots of q_u*num - q_s*den."""
-    qs, qu = q
-    co = qu * rest.num - qs * rest.den  # binary form coefficients, s^(d-m) u^m
-    d = rest.degree
-    # affine roots in tau = u/s plus the root at [0:1] for each degree drop
-    col = np.abs(co)
-    if col.max() == 0:
-        raise ValueError("restriction preimage form vanished")
-    return _binary_roots(co, d)
-
-
-def _binary_roots(co, formal_degree):
-    """Roots of a binary form with multiplicities, including [0:1] on degree drop."""
-    stripped = strip_trailing(co)
-    out = []
-    if len(stripped) >= 2:
-        rr = roots_univariate(stripped)
-        out = [(_p1_normalize((1.0, cl.root)), cl.multiplicity) for cl in rr.clusters]
-    drop = formal_degree - (len(stripped) - 1)
-    if drop > 0:
-        out.append((_p1_normalize((0.0, 1.0)), drop))
-    return out
-
-
-def _p1_iterate_forms(rest: LineRestriction, k: int):
-    """Coefficients of the k-fold composition as binary forms, via DFT sampling."""
-    d = rest.degree
-    D = d**k
-    npts = D + 2
-    theta = np.exp(2j * np.pi * np.arange(npts) / npts)
-    s = np.ones(npts, dtype=complex)
-    u = theta.copy()
-    for _ in range(k):
-        pows = np.stack([s ** (d - m) * u**m for m in range(d + 1)], axis=0)
-        s, u = rest.num @ pows, rest.den @ pows
-    return np.fft.fft(s)[: D + 1] / npts, np.fft.fft(u)[: D + 1] / npts
-
-
-def _p1_periodic_orbits(rest: LineRestriction, max_period: int):
-    """Orbits of period <= max_period as lists of normalized pairs."""
-    points = []
-    for k in range(1, max_period + 1):
-        nk, dk = _p1_iterate_forms(rest, k)
-        D = rest.degree**k
-        # fixed points of the k-th iterate: u*nk - s*dk = 0, binary of degree D+1
-        co = np.zeros(D + 2, dtype=complex)
-        co[1:] += nk
-        co[:-1] -= dk
-        cands = [pt for pt, _ in _binary_roots(co, D + 1)]
-        for c in cands:
-            if all(_p1_dist(c, p) > 1e-6 for p in points):
-                points.append(c)
-    orbits = []
-    used = []
-    for p in points:
-        if any(_p1_dist(p, q) <= 1e-6 for q in used):
-            continue
-        orbit = [p]
-        cur = rest.apply(p)
-        while _p1_dist(cur, p) > 1e-6 and len(orbit) <= max_period:
-            orbit.append(cur)
-            cur = rest.apply(cur)
-        if len(orbit) > max_period:
-            continue
-        used.extend(orbit)
-        orbits.append(orbit)
-    return orbits
-
-
-def _p1_orbit_totally_invariant(rest: LineRestriction, orbit) -> bool:
-    d = rest.degree
-    for i, q in enumerate(orbit):
-        prev = orbit[(i - 1) % len(orbit)]
-        pre = _p1_preimages(rest, q)
-        total_here = sum(m for x, m in pre if _p1_dist(x, prev) <= 1e-3)
-        if total_here != d:
-            return False
-    return True
+    A point that is its image's whole fibre is such a point (Beardon,
+    Iteration of Rational Functions, 4.1): a (d - 1)-fold root of the
+    Wronskian num' den - num den', of degree 2d - 2, and so a simple root of
+    its (d - 2)-th derivative.  [0:1] is the root of the degree drop.
+    """
+    d = f.degree
+    rests = [line_restriction(f, source, target) for source, target in pairs]
+    m = np.arange(1, d + 1)  # num' has coefficients m num[m] at u^(m - 1)
+    wrons = []
+    for r in rests:
+        w = np.convolve(m * r.num[1:], r.den) - np.convolve(r.num, m * r.den[1:])
+        wrons.append(strip_trailing(w[: 2 * d - 1]))  # its u^(2d - 1) terms cancel
+    found = roots_batch([np.polyder(w[::-1], d - 2)[::-1] for w in wrons])
+    return [
+        ProjPoint(x)
+        for r, w, rr in zip(rests, wrons, found)
+        for x, _ in _probe_points(2 * d - 2, w, w, *r.basis, (d - 2,), [rr])
+    ]
 
 
 # -- totally invariant points ------------------------------------------------------
 
 
-def _iterate_map(f: ProjMap, k: int) -> ProjMap:
-    if k == 1:
-        return f
-    return ProjMap(f.iterate_lift(k), f.nondegeneracy_residual)
+def invariant_orbits(f: ProjMap):
+    """Totally invariant periodic orbits as lists of points."""
+    return _invariant_orbits(f, _line_images(f))
 
 
-def invariant_orbits(f: ProjMap, max_period: int = 3):
-    """Totally invariant periodic orbits as lists of points, ordered by period.
+def _invariant_orbits(f: ProjMap, images):
+    """Orbits through the candidates with local degree d^2 that return
+    through such candidates.
 
-    Periods whose iterate lift has degree up to LIFT_DEGREE_CAP are solved as
-    fixed points of the iterate; a period whose solve raises is skipped.  On
-    top of these, periodic orbits on the invariant lines come from the line
-    restrictions.  Longer periods off the lines are not searched: the cyclic
-    map (w^d : t^d : z^d) has a totally invariant 3-cycle of vertices on no
-    invariant line, found at d = 2 (lift degree 8) and missed from d = 3 on.
+    The candidates are the fixed points of f and the Wronskian points along
+    the periodic lines.  A totally invariant cycle on a periodic line has
+    each point on one, and each is its image's whole fibre there.  Off those
+    lines the cycle has one point, since no configuration of f^k has two
+    exceptional points off its lines, so it is a fixed point.
     """
     d = f.degree
-    seen = []
+    candidates = [p for p, _ in f.fixed_points()]
+    for p in _wronskian_points(f, _periodic_pairs(images)):
+        if all(p.dist(q) > 1e-5 for q in candidates):
+            candidates.append(p)
+    kept = [p for p in candidates if local_degree_step(f, p) == d**2]
     orbits = []
-    for k in range(1, max_period + 1):
-        if d**k > LIFT_DEGREE_CAP:
-            break
-        try:
-            fixed = _iterate_map(f, k).fixed_points()
-        except GreenP2Error:
+    for p in kept:
+        if any(p.dist(q) <= 1e-5 for orbit in orbits for q in orbit):
             continue
-        for p, _ in fixed:
-            if any(p.dist(q) <= 1e-5 for q in seen):
-                continue
-            orbit = [p]
-            cur = f.apply(p)
-            while cur.dist(p) > 1e-5 and len(orbit) <= max_period:
-                orbit.append(cur)
-                cur = f.apply(cur)
-            if len(orbit) > max_period:
-                continue
-            seen.extend(orbit)
-            if _orbit_totally_invariant(f, orbit):
-                orbits.append(orbit)
-
-    for line in invariant_lines(f):
-        rest = line_restriction(f, line)
-        if rest.residual > 1e-6:
-            continue
-        b1, b2 = rest.basis
-        for orb1 in _p1_periodic_orbits(rest, max_period):
-            pts = [ProjPoint(s * b1 + u * b2) for s, u in orb1]
-            if any(pts[0].dist(q) <= 1e-5 for q in seen):
-                continue
-            seen.extend(pts)
-            if _orbit_totally_invariant(f, pts):
-                orbits.append(pts)
+        orbit = [p]
+        cur = f.apply(p)
+        while cur.dist(p) > 1e-5 and len(orbit) < len(kept) and any(cur.dist(q) <= 1e-5 for q in kept):
+            orbit.append(cur)
+            cur = f.apply(cur)
+        if cur.dist(p) <= 1e-5:
+            orbits.append(orbit)
     return orbits
 
 
-def _orbit_totally_invariant(f: ProjMap, orbit) -> bool:
-    """Each orbit point is the whole fibre of its image: local degree d^2."""
-    return all(local_degree_step(f, p) == f.degree**2 for p in orbit)
+def _periodic_pairs(images):
+    """(line, image line) coefficients along the cycles of the map on factor lines."""
+    pairs = []
+    for i, (form, _, j, _, _) in enumerate(images):
+        k, steps = j, 1
+        while k is not None and k != i and steps < len(images):
+            k, steps = images[k][2], steps + 1
+        if k == i:
+            pairs.append((form.coeffs, images[j][0].coeffs))
+    return pairs
 
 
-def invariant_points(f: ProjMap, max_period: int = 3):
+def invariant_points(f: ProjMap):
     """Flat list of points on totally invariant periodic orbits."""
-    pts = [p for orbit in invariant_orbits(f, max_period) for p in orbit]
+    pts = [p for orbit in invariant_orbits(f) for p in orbit]
     pts.sort(key=lambda p: tuple(np.round(np.abs(p.coords), 6)))
     return pts
 
@@ -348,26 +291,26 @@ def _linear_factors(f: ProjMap):
     found = iter(roots_batch([row for rows in derivs for row in rows]))
     factors = []  # (canonical coefficients, multiplicity)
     _add_factors(f, [
-        _probe_points(J, p, p, b1, b2, range(1, J.degree), [next(found) for _ in rows])
+        _probe_points(J.degree, p, p, b1, b2, range(1, J.degree), [next(found) for _ in rows])
         for (b1, b2, p), rows in zip(probes, derivs)
     ], factors)
     deflated = [_deflate(p, b1, b2, factors) for b1, b2, p in probes]
     if min(len(q) for q in deflated) >= 2:
         _add_factors(f, [
-            _probe_points(J, p, q, b1, b2, (0,), [rr])
+            _probe_points(J.degree, p, q, b1, b2, (0,), [rr])
             for (b1, b2, p), q, rr in zip(probes, deflated, roots_batch(deflated))
         ], factors)
     out = [(HomogPoly3(1, c), m) for c, m in factors]
     return sorted(out, key=lambda fm: tuple(np.round(np.abs(fm[0].coeffs), 6)))
 
 
-def _probe_points(J, p, q, b1, b2, orders, results):
+def _probe_points(degree, p, q, b1, b2, orders, results):
     """(point, order) pairs on a probe: the simple roots of each result where q vanishes.
 
     The probe's spanning point b2 is the root at infinity, of every order
-    below the degree that p lost against J.
+    below the degree that p lost against its formal degree.
     """
-    pts = [(b2, k) for k in orders if k < J.degree + 1 - len(p)]
+    pts = [(b2, k) for k in orders if k < degree + 1 - len(p)]
     tol = 1e-8 * np.max(np.abs(q))
     for k, rr in zip(orders, results):
         for cl in rr.clusters:
@@ -564,60 +507,28 @@ def _perron(t: np.ndarray):
 @dataclass
 class ExceptionalSets:
     e1_lines: list
-    e2_points: list  # (ProjPoint, kind) with kind in {"on_E1", "homogeneous", "undetermined"}
+    e2_points: list  # (ProjPoint, kind): "on_E1" on a line, "homogeneous" a fixed point of contraction order d
     assumption_flag: bool
     line_order_checks: list = field(default_factory=list)
 
 
 def exceptional_sets(f: ProjMap, horizon: int = 3) -> ExceptionalSets:
-    """The totally invariant lines and the finite superattracting exceptional points."""
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
+    """The totally invariant lines, and the points of the totally invariant
+    orbits that lie on them or are fixed with contraction order d."""
+    # horizon is unused; it stays because callers such as perfbench/workloads.py pass it
     d = f.degree
-    lines = invariant_lines(f)
-    checks = [L.multiplicity == d - 1 for L in lines]
-
+    images = _line_images(f)
+    lines = _invariant_lines(images)
     points = []
-
-    def _register(pt, kind):
-        for existing, _ in points:
-            if existing.dist(pt) <= 1e-5:
-                return
-        points.append((pt, kind))
-
-    # line-borne exceptional points: totally invariant orbits of the restriction
-    for line in lines:
-        rest = line_restriction(f, line)
-        if rest.residual > 1e-6:
-            continue
-        for orbit in _p1_periodic_orbits(rest, max_period=3):
-            if _p1_orbit_totally_invariant(rest, orbit):
-                b1, b2 = rest.basis
-                for (s, u) in orbit:
-                    _register(ProjPoint(s * b1 + u * b2), "on_E1")
-
-    # pencil-preserving fixed points away from the lines
-    assumption_used = False
-    for p, _ in f.fixed_points():
-        if any(line.contains(p) for line in lines):
-            continue
-        assumption_used = True
-        if contraction_order(f, p, 1) == d:
-            _register(p, "homogeneous")
-        else:
-            # candidate evidence for maximal Jacobian growth without the
-            # pencil structure: consecutive-ratio estimate separates
-            # polynomial from exponential order growth at short horizons
-            mu_hi = jacobian_multiplicity(f, p, horizon)
-            if mu_hi >= d**horizon // 2:
-                mu_lo = jacobian_multiplicity(f, p, horizon - 1)
-                ratio = (3.0 + 2.0 * mu_hi) / (3.0 + 2.0 * mu_lo)
-                if ratio >= d - 0.1:
-                    _register(p, "undetermined")
-
+    for orbit in _invariant_orbits(f, images):
+        for p in orbit:
+            if any(line.contains(p) for line in lines):
+                points.append((p, "on_E1"))
+            elif len(orbit) == 1 and contraction_order(f, p, 1) == d:
+                points.append((p, "homogeneous"))
     points.sort(key=lambda e: tuple(np.round(np.abs(e[0].coords), 6)))
-    flag = assumption_used and any(kind != "on_E1" for _, kind in points)
-    return ExceptionalSets(lines, points, flag, checks)
+    flag = any(kind != "on_E1" for _, kind in points)
+    return ExceptionalSets(lines, points, flag, [L.multiplicity == d - 1 for L in lines])
 
 
 @dataclass
@@ -716,7 +627,7 @@ def conjugacy_check(
             break
     if period is None:
         raise NotSuperattracting(f"{p} is not periodic with period <= 3")
-    g = _iterate_map(f, period)
+    g = ProjMap(f.iterate_lift(period), f.nondegeneracy_residual)
     D = g.degree
     # superattracting = nilpotent-or-zero differential; the one-step
     # contraction order can still be 1 in the skew normal form

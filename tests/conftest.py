@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from greenp2 import ProjMap, ProjPoint, parse_poly
+from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, parse_poly
 from greenp2.errors import GreenP2Error
-from greenp2.polys import HomogPoly3, n_monomials
+from greenp2.polys import HomogPoly3, monomial_exponents, n_monomials
 from greenp2.roots import roots_univariate
 
 
@@ -57,6 +57,20 @@ def conjugate(f, A):
     comps = [moved[0].scale(inv[i, 0]) + moved[1].scale(inv[i, 1]) + moved[2].scale(inv[i, 2])
              for i in range(3)]
     return ProjMap(comps, f.nondegeneracy_residual)
+
+
+def structure_maps():
+    """The maps of the structure benchmark: each row at d = 2 and 3 (seed 1000),
+    conjugated by one diagonal unitary matrix diag(e^ia, e^ib, 1) drawn in turn
+    from one generator of seed 1, which scales the coefficients exactly."""
+    rng = np.random.default_rng(1)
+    for d in (2, 3):
+        for row in CONFIGURATION_IDS:
+            phases = np.append(np.exp(2j * np.pi * rng.uniform(size=2)), 1.0)
+            scale = np.prod(phases ** monomial_exponents(d), axis=1)
+            comps = [HomogPoly3(d, c.coeffs * scale / phases[i])
+                     for i, c in enumerate(configuration_map(row, d, 1000).components)]
+            yield row, ProjMap.validate(comps)
 
 
 def sample_critical_points(f, count, rng):

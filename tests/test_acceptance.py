@@ -137,7 +137,7 @@ def test_criterion_05_worked_example_ground_truth(worked_map):
     assert local_degree(worked_map, corner, 1) == 4
     assert jacobian_multiplicity(worked_map, corner, 1) == 2
     assert [contraction_order(worked_map, corner, n) for n in range(1, 6)] == [1] * 5
-    sets = exceptional_sets(worked_map, 3)
+    sets = exceptional_sets(worked_map)
     assert [L.form.to_string() for L in sets.e1_lines] == ["t"]
     pts = [p for p, _ in sets.e2_points]
     assert len(pts) == 2
@@ -158,7 +158,7 @@ def test_criterion_06_power_map_structure(power_map):
     assert np.array_equal(tm.matrix, 2 * np.eye(3, dtype=int))
     assert abs(tm.rho - 2.0) <= 1e-9
     assert np.allclose(tm.perron, np.ones(3))
-    row = classify(exceptional_sets(power_map, 3))
+    row = classify(exceptional_sets(power_map))
     assert row.row_id == "3-3"
     _report(6, "power map: 3 lines, 3 corners, diag(2,2,2), rho=2, perron=(1,1,1), row 3-3")
 
@@ -169,7 +169,7 @@ def test_criterion_07_configuration_round_trip():
         for rid in CONFIGURATION_IDS:
             for seed in range(10):
                 f = configuration_map(rid, d, rng_seed=1000 + seed)
-                row = classify(exceptional_sets(f, 3))
+                row = classify(exceptional_sets(f))
                 if row.row_id != rid:
                     failures.append((d, rid, seed, row.row_id))
     assert failures == []
@@ -182,7 +182,7 @@ def test_criterion_08_lattes_quotient(lattes):
         q = ProjPoint(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         fib = lattes.preimages(q)
         assert fib.complete and fib.total_multiplicity == 4
-    sets = exceptional_sets(lattes, 3)
+    sets = exceptional_sets(lattes)
     assert sets.e1_lines == [] and sets.e2_points == []
     assert invariant_points(lattes) == []
     _report(8, "product-quotient map: valid, fibers of size 4, empty exceptional structure")

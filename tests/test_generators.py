@@ -33,7 +33,7 @@ class TestConfigurationMaps:
         lines = invariant_lines(f)
         assert len(lines) == 1
         assert lines[0].form.to_string() == "t"
-        sets = exceptional_sets(f, 3)
+        sets = exceptional_sets(f)
         assert sets.e2_points == []
 
     def test_unknown_row_rejected(self):
@@ -43,7 +43,7 @@ class TestConfigurationMaps:
     def test_round_trip_sample(self):
         for rid in CONFIGURATION_IDS:
             f = configuration_map(rid, 2, rng_seed=23)
-            assert classify(exceptional_sets(f, 3)).row_id == rid
+            assert classify(exceptional_sets(f)).row_id == rid
 
     def test_determinism(self):
         a = configuration_map("1-2", 2, rng_seed=9)

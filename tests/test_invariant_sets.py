@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import conjugate, make_map, random_valid_map
+from conftest import conjugate, make_map, random_valid_map, structure_maps
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, parse_poly
 from greenp2.errors import ComponentInvalid
 from greenp2.invariant_sets import (
-    LIFT_DEGREE_CAP,
     _arc_vanishing_order,
     _canonical_coeffs,
     _component_sample,
     _divides_jacobian,
-    _iterate_map,
-    _orbit_totally_invariant,
     _orthonormal_completion,
     _transverse_direction,
     classify,
@@ -24,8 +21,7 @@ from greenp2.invariant_sets import (
     line_restriction,
     transition_matrix,
 )
-from greenp2.multiplicities import jacobian_multiplicity
-from greenp2.polys import HomogPoly3, monomial_exponents
+from greenp2.multiplicities import jacobian_multiplicity, local_degree_step
 from invariance_reference import fibre_totally_invariant, slope_vanishing_order
 
 
@@ -38,25 +34,19 @@ def row_map(row, d, seed=1000):
     return configuration_map(row, d, seed)
 
 
+def unitary_conjugate(f, seed):
+    """f conjugated by the unitary factor of a seeded complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    A = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    return conjugate(f, A), A
+
+
 def rotations(f, count, seed):
     """f conjugated by ``count`` seeded diagonal unitary matrices diag(e^ia, e^ib, 1)."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         phases = np.append(np.exp(2j * np.pi * rng.uniform(size=2)), 1.0)
         yield conjugate(f, np.diag(phases))
-
-
-def structure_maps():
-    """The maps of the structure benchmark: each row at d = 2 and 3 (seed 1000),
-    conjugated by one diagonal unitary matrix diag(e^ia, e^ib, 1) drawn in turn
-    from one generator of seed 1, which scales the coefficients exactly."""
-    rng = np.random.default_rng(1)
-    for d in (2, 3):
-        for row in CONFIGURATION_IDS:
-            phases = np.append(np.exp(2j * np.pi * rng.uniform(size=2)), 1.0)
-            scale = np.prod(phases ** monomial_exponents(d), axis=1)
-            comps = [HomogPoly3(d, c.coeffs * scale / phases[i]) for i, c in enumerate(row_map(row, d).components)]
-            yield row, ProjMap.validate(comps)
 
 
 def normal_form_factor_count(row, d):
@@ -144,9 +134,8 @@ class TestLinearFactors:
     @pytest.mark.parametrize("row, d", [("3-3", 2), ("2-2", 3)])
     def test_lines_follow_a_linear_conjugacy(self, row, d):
         f = configuration_map(row, d, 1000)
-        rng = np.random.default_rng(31)
-        A = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-        lines = invariant_lines(conjugate(f, A))
+        g, A = unitary_conjugate(f, 31)
+        lines = invariant_lines(g)
         moved = [_canonical_coeffs(L.form.coeffs @ A) for L in invariant_lines(f)]
         assert len(lines) == len(moved) > 0
         for L in lines:
@@ -156,11 +145,20 @@ class TestLinearFactors:
 class TestLineRestriction:
     def test_worked_map_swap(self, worked_map):
         line = invariant_lines(worked_map)[0]
-        rest = line_restriction(worked_map, line)
+        rest = line_restriction(worked_map, line.form.coeffs)
         assert rest.residual < 1e-9
         # restriction of [2zt+w^2 : z^2 : t^2] to {t=0} swaps the corners
         img = rest.apply((1.0, 0.0))
         assert abs(img[0]) < 1e-9 and abs(abs(img[1]) - 1.0) < 1e-9
+
+    def test_line_onto_another(self):
+        """(w^2 : z^2 : t^2) maps {z = 0}, spanned by [0:1:0] and [0:0:1], onto
+        {w = 0}, spanned by [1:0:0] and [0:0:1], as [1:u] -> [1:u^2]."""
+        f = make_map("w^2", "z^2", "t^2")
+        rest = line_restriction(f, np.eye(3)[0], np.eye(3)[1])
+        assert rest.residual < 1e-12
+        img = rest.apply((1.0, 0.5))
+        assert abs(img[1] / img[0] - 0.25) < 1e-12
 
 
 class TestInvariantPoints:
@@ -188,44 +186,51 @@ class TestInvariantPoints:
     @pytest.mark.parametrize("d", [4, 5])
     def test_rows_beyond_d3(self, d):
         """Each row's totally invariant points are its exceptional points, d^2-fold
-        points of their fibres."""
+        points of their fibres, and the row classifies as itself."""
         for row in CONFIGURATION_IDS:
-            assert len(invariant_points(row_map(row, d))) == int(row.split("-")[1]), row
+            f = row_map(row, d)
+            assert len(invariant_points(f)) == int(row.split("-")[1]), row
+            assert classify(exceptional_sets(f)).row_id == row
 
-    def test_cyclic_map_three_cycle(self):
-        """(w^2 : t^2 : z^2) cycles the vertices.  The 3-cycle lies on no invariant
-        line, so only the fixed-point solve of the third iterate finds it."""
-        f = make_map("w^2", "t^2", "z^2")
+    def test_conjugated_rows_d5(self):
+        """A unitary change of coordinates moves the structure off the coordinate lines."""
+        for row in CONFIGURATION_IDS:
+            g, _ = unitary_conjugate(row_map(row, 5), 31)
+            assert classify(exceptional_sets(g)).row_id == row
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_cyclic_map_three_cycle(self, d):
+        """(w^d : t^d : z^d) cycles the vertices and maps z = 0 onto t = 0, t = 0
+        onto w = 0 and w = 0 onto z = 0.  No line is invariant; the vertices are
+        the Wronskian points of that 3-cycle of lines.  They are in no
+        exceptional set."""
+        f = make_map(f"w^{d}", f"t^{d}", f"z^{d}")
         assert invariant_lines(f) == []
         pts = invariant_points(f)
         assert len(pts) == 3
         for c in np.eye(3):
             assert any(p.dist(ProjPoint(c)) < 1e-8 for p in pts)
+        assert exceptional_sets(f).e2_points == []
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_swap_map(self, d):
+        """(w^d : z^d : t^d) fixes [0:0:1] and swaps [1:0:0] and [0:1:0] on the
+        invariant line t = 0."""
+        f = make_map(f"w^{d}", f"z^{d}", f"t^{d}")
+        pts = invariant_points(f)
+        assert len(pts) == 3
+        for c in np.eye(3):
+            assert any(p.dist(ProjPoint(c)) < 1e-8 for p in pts)
+        sets = exceptional_sets(f)
+        assert [kind for _, kind in sets.e2_points] == ["homogeneous", "on_E1", "on_E1"]
+        assert [p.dist(ProjPoint(c)) < 1e-8 for (p, _), c in zip(sets.e2_points, np.eye(3)[::-1])] == [True] * 3
 
 
 class TestIterateSolves:
-    """invariant_orbits solves the fixed points of every iterate lift of degree
-    up to LIFT_DEGREE_CAP.  On the structure maps all 45 solves give e^2 + e + 1
-    simple fixed points; 17 of them raised before the Macaulay null-space
-    solver."""
+    """invariant_points on the structure maps gives the counts it gave when it
+    solved the fixed points of the iterate lifts."""
 
-    #: invariant_points counts of the structure maps, the same as when those
-    #: 17 solves were skipped
     POINTS = {"1-0": 0, "0-1": 1, "1-1-incident": 1, "1-1-free": 1, "1-2": 2, "2-1": 1, "2-2": 2, "2-3": 3, "3-3": 3}
-
-    def test_every_iterate_solve_completes(self):
-        solves = 0
-        for _, f in structure_maps():
-            for k in range(1, 4):
-                e = f.degree**k
-                if e > LIFT_DEGREE_CAP:
-                    break
-                g = _iterate_map(f, k)
-                fixed = g.fixed_points()
-                assert [m for _, m in fixed] == [1] * (e * e + e + 1)
-                assert max(g.apply(p).dist(p) for p, _ in fixed) < 1e-8
-                solves += 1
-        assert solves == 45
 
     def test_invariant_points_unchanged(self):
         for row, f in structure_maps():
@@ -344,18 +349,18 @@ class TestExceptionalSets:
     def test_line_order_checks(self, row, d):
         """Each invariant line is a (d - 1)-fold factor of the Jacobian.  The 3-3 row at
         d = 2 is the power map z^2:w^2:t^2; the 0-1 row has no line."""
-        sets = exceptional_sets(row_map(row, d), 3)
+        sets = exceptional_sets(row_map(row, d))
         assert sets.line_order_checks and all(sets.line_order_checks)
 
     def test_power_map_full_structure(self, power_map):
-        sets = exceptional_sets(power_map, 3)
+        sets = exceptional_sets(power_map)
         assert len(sets.e1_lines) == 3
         assert len(sets.e2_points) == 3
         assert all(kind == "on_E1" for _, kind in sets.e2_points)
 
     def test_worked_map_excludes_invariant_point(self, worked_map):
         """The totally invariant point with slow contraction stays out."""
-        sets = exceptional_sets(worked_map, 3)
+        sets = exceptional_sets(worked_map)
         assert line_names(sets.e1_lines) == ["t"]
         pts = [p for p, _ in sets.e2_points]
         assert len(pts) == 2
@@ -366,19 +371,19 @@ class TestExceptionalSets:
         assert all(p.dist(corner) > 1e-3 for p in pts)
 
     def test_lattes_empty(self, lattes):
-        sets = exceptional_sets(lattes, 3)
+        sets = exceptional_sets(lattes)
         assert sets.e1_lines == [] and sets.e2_points == []
 
 
 class TestClassify:
     def test_power_map_row(self, power_map):
-        row = classify(exceptional_sets(power_map, 3))
+        row = classify(exceptional_sets(power_map))
         assert row.row_id == "3-3"
         assert row.label == "[z^d:w^d:t^d]"
         assert sorted(len(ix) for ix in row.incidence) == [2, 2, 2]
 
     def test_no_structure_row(self, lattes):
-        row = classify(exceptional_sets(lattes, 3))
+        row = classify(exceptional_sets(lattes))
         assert row.row_id == "0-0"
         assert "no exceptional structure" in row.label
 
@@ -386,7 +391,7 @@ class TestClassify:
         from greenp2 import configuration_map
 
         f = configuration_map("1-2", 2, rng_seed=3)
-        row = classify(exceptional_sets(f, 3))
+        row = classify(exceptional_sets(f))
         assert row.row_id == "1-2"
         assert row.label == "[P(z,t):w^d+tQ:t^d]"
         assert sorted(len(ix) for ix in row.incidence) == [1, 1]
@@ -449,16 +454,24 @@ class TestExactIntegers:
     replaced (``invariance_reference``) where those resolve them."""
 
     def test_no_fibre_solves(self, monkeypatch, power_map, worked_map):
+        """Nor any iterate lift: the points come from f itself.  iterate_lift(1),
+        the components of f, is what the local degree counts on."""
         calls = []
-        preimages = ProjMap.preimages
+        preimages, iterate_lift = ProjMap.preimages, ProjMap.iterate_lift
 
-        def counted(self, *args, **kwargs):
-            calls.append(1)
+        def counted_preimages(self, *args, **kwargs):
+            calls.append("preimages")
             return preimages(self, *args, **kwargs)
 
-        monkeypatch.setattr(ProjMap, "preimages", counted)
+        def counted_iterate_lift(self, n):
+            if n > 1:
+                calls.append(f"iterate_lift({n})")
+            return iterate_lift(self, n)
+
+        monkeypatch.setattr(ProjMap, "preimages", counted_preimages)
+        monkeypatch.setattr(ProjMap, "iterate_lift", counted_iterate_lift)
         for f in (power_map, worked_map, row_map("1-2", 2), row_map("2-3", 3)):
-            exceptional_sets(f, 3)
+            exceptional_sets(f)
             invariant_points(f)
             transition_matrix(f)
         assert calls == []
@@ -468,7 +481,8 @@ class TestExactIntegers:
         f = row_map(row, 2)
         orbits = [[p] for p, _ in f.fixed_points()] + invariant_orbits(f)
         for orbit in orbits:
-            assert _orbit_totally_invariant(f, orbit) == fibre_totally_invariant(f, orbit)
+            exact = all(local_degree_step(f, p) == f.degree**2 for p in orbit)
+            assert exact == fibre_totally_invariant(f, orbit)
 
     @pytest.mark.parametrize("row", CONFIGURATION_IDS)
     def test_arc_orders_match_slope_fit(self, row):

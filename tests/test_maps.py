@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import conjugate, make_map, random_valid_map
+from conftest import conjugate, make_map, random_valid_map, structure_maps
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, lattes_map, maps, parse_poly, systems
 from greenp2.errors import ChartUndefined, DegenerateMap, DegreeMismatch, GreenP2Error
 from greenp2.multiplicities import local_degree_step, orbit_report
@@ -211,6 +211,22 @@ class TestFixedPoints:
             assert sum(m for _, m in fp) == 7
             for p, _ in fp:
                 assert f.apply(p).dist(p) < 1e-6
+
+    def test_every_iterate_solve_completes(self):
+        """The iterate lifts of degree e <= 10 of the structure maps have
+        e^2 + e + 1 simple fixed points each: 45 solves."""
+        solves = 0
+        for _, f in structure_maps():
+            for k in range(1, 4):
+                e = f.degree**k
+                if e > 10:
+                    break
+                g = ProjMap(f.iterate_lift(k), f.nondegeneracy_residual)
+                fixed = g.fixed_points()
+                assert [m for _, m in fixed] == [1] * (e * e + e + 1)
+                assert max(g.apply(p).dist(p) for p, _ in fixed) < 1e-8
+                solves += 1
+        assert solves == 45
 
 
 class TestPreimages:
