@@ -98,21 +98,23 @@ def _line_images(f: ProjMap):
     that is l_j o F = lambda l_i^d, of the best fit; None if no fit holds.
     """
     factors = _linear_factors(f)
+    comps = np.stack([p.coeffs for p in f.components])
+    pulled = [target.coeffs @ comps for target, _ in factors]  # coefficients of target o F
+    scale = max(1.0, max(p.coeff_norm for p in f.components))
     out = []
     for form, m in factors:
-        fits = [_pullback_fit(f, form.coeffs, target.coeffs) for target, _ in factors]
+        v = form.power(f.degree).coeffs
+        fits = [_pullback_fit(u, v, scale) for u in pulled]
         j = min(range(len(fits)), key=lambda k: fits[k][1])
         lam, res = fits[j]
         out.append((form, m, j if res <= LINE_TOL else None, lam, res))
     return out
 
 
-def _pullback_fit(f: ProjMap, source, target):
-    """Least-squares lambda in target o F = lambda source^d, and the relative coefficient residual."""
-    u = target @ np.stack([p.coeffs for p in f.components])  # coefficients of target o F
-    v = HomogPoly3(1, source).power(f.degree).coeffs
+def _pullback_fit(u, v, scale):
+    """Least-squares lambda in u = lambda v, for u the coefficients of target o F
+    and v those of source^d, and the residual relative to the map's scale."""
     lam = np.sum(np.conj(v) * u) / np.sum(np.abs(v) ** 2)
-    scale = max(1.0, max(p.coeff_norm for p in f.components))
     return lam, float(np.linalg.norm(u - lam * v)) / scale
 
 

@@ -128,7 +128,11 @@ def jacobian_multiplicity(f: ProjMap, p: ProjPoint, n: int, chart_override=None)
 
 
 def contraction_order(f: ProjMap, p: ProjPoint, n: int, chart_override=None) -> int:
-    """Lowest Taylor degree of the n-th iterate at p (min over components)."""
+    """Lowest Taylor degree of the n-th iterate at p (min over components).
+
+    The truncation grows only until one component's order is decided, since
+    the other's order then exceeds it or is decided too (`_pair_contraction`).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -140,11 +144,26 @@ def contraction_order(f: ProjMap, p: ProjPoint, n: int, chart_override=None) -> 
 
 
 def _pair_contraction(pair) -> int:
+    """Order of the pair minus its value: the smaller order of its components.
+
+    A component that raises has no significant coefficient up to the
+    truncation, so its order exceeds it and it cannot be the minimum when the
+    other component's order does not.  Significance at a degree depends only
+    on the coefficients up to that degree, which a larger truncation leaves
+    as they are, so the answer is the one every larger truncation gives.
+    Raises only when both components exceed the truncation.
+    """
     s1, s2 = pair
     scale = max(1.0, abs(s1.const), abs(s2.const))
-    return min(
-        _series_order(s1 - s1.const, scale), _series_order(s2 - s2.const, scale)
-    )
+    orders, last = [], None
+    for s in pair:
+        try:
+            orders.append(_series_order(s - s.const, scale))
+        except OrderExceedsTruncation as exc:
+            last = exc
+    if not orders:
+        raise last
+    return min(orders)
 
 
 def local_degree(f: ProjMap, p: ProjPoint, n: int) -> int:

@@ -73,6 +73,15 @@ def structure_maps():
             yield row, ProjMap.validate(comps)
 
 
+def online_fixed_point():
+    """configuration_map('1-0', 3, 8) and its fixed point on the invariant line t = 0."""
+    f = configuration_map("1-0", 3, 8)
+    target = ProjPoint([0.69965703, -0.68112128 - 0.2157634j, 0.0])
+    p = min((q for q, _ in f.fixed_points()), key=lambda q: q.dist(target))
+    assert p.dist(target) < 1e-6
+    return f, p
+
+
 def sample_critical_points(f, count, rng):
     """Machine-polished points on the critical curve, away from singular spots."""
     J = f.lift_jacobian

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import conjugate, random_valid_map, sample_critical_points
-from greenp2 import ProjMap, ProjPoint, parse_poly
-from greenp2.errors import IllConditioned
+from conftest import conjugate, online_fixed_point, random_valid_map, sample_critical_points
+from greenp2 import ProjMap, ProjPoint, multiplicities, parse_poly
+from greenp2.errors import IllConditioned, OrderExceedsTruncation
 from greenp2.multiplicities import (
+    _pair_contraction,
     contraction_order,
     contraction_order_direct,
     inequality_report,
@@ -15,6 +16,7 @@ from greenp2.multiplicities import (
     local_degree_step,
     orbit_report,
 )
+from greenp2.series import AffineSeries2
 from ladder_reference import ladder_local_degree
 
 CORNER = ProjPoint([0, 0, 1])
@@ -57,6 +59,29 @@ class TestContractionOrder:
         a = contraction_order(power_map, EDGE, 2, chart_override={0: 0})
         b = contraction_order(power_map, EDGE, 2, chart_override={0: 2})
         assert a == b == 1
+
+    def test_pair_decided_by_one_component(self):
+        """(c + u, c') has order 1 although its constant second component has none."""
+        s1 = AffineSeries2.constant(2.0, 6)
+        s1.coeffs[1, 0] = 1.0
+        assert _pair_contraction((s1, AffineSeries2.constant(3.0, 6))) == 1
+        with pytest.raises(OrderExceedsTruncation):
+            _pair_contraction((AffineSeries2.constant(2.0, 6), AffineSeries2.constant(3.0, 6)))
+
+    def test_online_point_at_first_truncation(self, monkeypatch):
+        """At the on-line fixed point one chart coordinate of f^3 is t^27 times a
+        unit and the other has order 1, so truncation 6 decides the order."""
+        f, p = online_fixed_point()
+        build = multiplicities.orbit_chart_series
+        truncs = []
+
+        def counted(f, p, n, trunc, chart_override=None):
+            truncs.append(trunc)
+            return build(f, p, n, trunc, chart_override)
+
+        monkeypatch.setattr(multiplicities, "orbit_chart_series", counted)
+        assert contraction_order(f, p, 3) == contraction_order_direct(f, p, 3) == 1
+        assert truncs == [6]
 
 
 class TestLocalDegree:

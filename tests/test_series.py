@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from greenp2 import ProjPoint, configuration_map
+from conftest import online_fixed_point
 from greenp2.errors import OrderExceedsTruncation, PositiveDimensional
 from greenp2.multiplicities import orbit_report
 from greenp2.polys import parse_poly
@@ -181,13 +181,11 @@ def test_compose_matches_horner_reference(shape, trunc):
 
 def test_online_orbit_report_product_budget(monkeypatch):
     """The passing on-line fixed point of configuration_map('1-0', 3, 8) escalates to
-    truncation 48; its orbit report stays within 300 products there (90 with the
-    power-table composition and the Newton reciprocal, 429 with the Horner
-    composition and the Neumann reciprocal)."""
-    f = configuration_map("1-0", 3, 8)
-    target = ProjPoint([0.69965703, -0.68112128 - 0.2157634j, 0.0])
-    p = min((q for q, _ in f.fixed_points()), key=lambda q: q.dist(target))
-    assert p.dist(target) < 1e-6
+    truncation 24, where its Jacobian terms (orders 2, 6 and 18) are decided; its
+    contraction orders are 1 from truncation 6 on, as the other chart coordinate
+    of f^3 is t^27 times a unit.  It stays within 90 products at truncation 24
+    (with the power-table composition and the Newton reciprocal)."""
+    f, p = online_fixed_point()
     mul = AffineSeries2.__mul__
     truncs = []
 
@@ -200,7 +198,8 @@ def test_online_orbit_report_product_budget(monkeypatch):
     rep = orbit_report(f, p, 3)
     assert all(rep.inequality_verdicts.values())
     assert all(m >= 3**n - 1 for n, m in zip((1, 2, 3), rep.jacobian_orders))
-    assert 0 < truncs.count(48) <= 300
+    assert max(truncs) == 24
+    assert truncs.count(24) <= 90
 
 
 class TestLocalMultiplicity:
