@@ -62,6 +62,8 @@ class KiselmanEstimate:
 
 
 def _tail_n(f: ProjMap, tol: float) -> int:
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     M = f.lognorm_sup()
     d = f.degree
     return max(1, int(math.ceil(math.log(max(M / ((d - 1) * tol), 1.0)) / math.log(d))))
@@ -69,11 +71,9 @@ def _tail_n(f: ProjMap, tol: float) -> int:
 
 def green(f: ProjMap, x: ProjPoint, tol: float = 1e-6) -> GreenEval:
     """Green function value with a certified geometric tail bound."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    n = _tail_n(f, tol)
     M = f.lognorm_sup()
     d = f.degree
-    n = _tail_n(f, tol)
     orbit = f.iterate_lognorm(x, n)
     value = orbit.lognorms[-1] / d**n
     return GreenEval(float(value), n, M * d ** (-n) / (d - 1), M)
@@ -86,21 +86,50 @@ def green_batch(f: ProjMap, points: np.ndarray, tol: float = 1e-6) -> np.ndarray
     return a[n] / f.degree**n
 
 
-def _orbit_arrays(f: ProjMap, points: np.ndarray, n: int):
-    """Renormalized orbit (unit representatives) and log-norm accumulators.
+#: most points walked through all orbit steps together: blocks of 2,048 to
+#: 8,192 points timed alike (1,024 slower), and their arrays stay cache-sized
+_BLOCK = 4096
 
-    Returns (a, X) with a[k] the log-norm array at step k and X the list of
-    normalized point arrays along the orbit.
+
+def _blocks(n_points: int):
+    """Row slices cutting n_points rows into near-equal blocks of at most _BLOCK.
+
+    Near-equal blocks never leave a one-row block when n_points > 1: numpy
+    sends a one-row ``table @ coeffs`` through BLAS dot, which rounds
+    differently from the gemv that evaluates every longer block, so the
+    blocked results stay bit-identical to one pass over all rows.
+    """
+    k = max(1, -(-n_points // _BLOCK))
+    return [slice(i * n_points // k, (i + 1) * n_points // k) for i in range(k)]
+
+
+def _orbit_arrays(
+    f: ProjMap, points: np.ndarray, n: int, phi: HomogPoly3 | None = None, n_phi: int = 0
+):
+    """Log-norm accumulators along the renormalized orbit, walked block by block.
+
+    Returns (a, v): a[k] is the log-norm array at step k (k = 0..n), and v[k]
+    is |phi| at the unit representatives of step k (k = 0..n_phi; no rows
+    without phi).  Each block of points runs through all n steps before the
+    next starts, and no orbit point outlives its step, so memory is
+    N * (n + 1 + n_phi + 1) floats.
     """
     d = f.degree
-    X = [np.asarray(points, dtype=complex)]
-    a = [np.zeros(X[0].shape[0])]
-    for _ in range(n):
-        img = f.lift(X[-1])
-        norms = np.linalg.norm(img, axis=1)
-        a.append(d * a[-1] + np.log(norms))
-        X.append(img / norms[:, None])
-    return a, X
+    points = np.asarray(points, dtype=complex)
+    a = np.zeros((n + 1, points.shape[0]))
+    v = np.empty((0 if phi is None else n_phi + 1, points.shape[0]))
+    for rows in _blocks(points.shape[0]):
+        x = points[rows]
+        for k in range(n + 1):
+            if k < len(v):
+                v[k, rows] = np.abs(phi.eval_batch(x))
+            if k == n:
+                break
+            img = f.lift(x)
+            norms = np.linalg.norm(img, axis=1)
+            a[k + 1, rows] = d * a[k, rows] + np.log(norms)
+            x = img / norms[:, None]
+    return a, v
 
 
 def curve_potential(f: ProjMap, phi: HomogPoly3, n: int, x: ProjPoint) -> float:
@@ -127,16 +156,19 @@ def equidist_distance(
     Sample values with potential below -clip are excluded from the mean and
     reported in clip_fraction (the potential has log poles on the curve).
     """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
     d = f.degree
     k = phi.degree
     n_green = max(n_max, _tail_n(f, tol))
     pts = fs_points(samples, seed)
-    a, X = _orbit_arrays(f, pts, n_green)
+    a, absphi = _orbit_arrays(f, pts, n_green, phi, n_max)
     g = a[n_green] / d**n_green
     rows = []
     for n in range(n_max + 1):
-        vals = np.abs(phi.eval_batch(X[n]))
-        vals = np.maximum(vals, 1e-300)
+        vals = np.maximum(absphi[n], 1e-300)
         vn = (np.log(vals) + k * a[n]) / (k * d**n)
         keep = vn > -clip
         diffs = np.abs(vn[keep] - g[keep])
@@ -313,27 +345,31 @@ def _orbit_log_jacobian(f: ProjMap, X: np.ndarray, n: int):
     Differentials are evaluated at renormalized orbit points; homogeneity
     folds the accumulated scales back in as 3(d-1) * lognorm terms.  Returns
     (logdet, lognorms, Y) with Y the unit representatives of the n-th images.
+    Blocks of points run through all n steps in turn, as in _orbit_arrays.
     """
     d = f.degree
     parts = [[f.components[i].partial(j) for j in range(3)] for i in range(3)]
-    cur = X.copy()
     acc = np.zeros(X.shape[0])  # log-norm accumulator a_k
     logdet = np.zeros(X.shape[0])
-    for _ in range(n):
-        D = np.empty((X.shape[0], 3, 3), dtype=complex)
-        table = monomial_table(cur, d - 1)
-        for i in range(3):
-            for j in range(3):
-                D[:, i, j] = table @ parts[i][j].coeffs
-        # freed before f.lift builds its own table, so the two never coexist
-        del table
-        _, ld = np.linalg.slogdet(D)
-        logdet = logdet + ld + 3.0 * (d - 1) * acc
-        img = f.lift(cur)
-        norms = np.linalg.norm(img, axis=1)
-        acc = d * acc + np.log(norms)
-        cur = img / norms[:, None]
-    return logdet, acc, cur
+    Y = np.array(X, dtype=complex)
+    for rows in _blocks(X.shape[0]):
+        cur = Y[rows]
+        for _ in range(n):
+            D = np.empty((cur.shape[0], 3, 3), dtype=complex)
+            table = monomial_table(cur, d - 1)
+            for i in range(3):
+                for j in range(3):
+                    D[:, i, j] = table @ parts[i][j].coeffs
+            # freed before f.lift builds its own table, so the two never coexist
+            del table
+            _, ld = np.linalg.slogdet(D)
+            logdet[rows] = logdet[rows] + ld + 3.0 * (d - 1) * acc[rows]
+            img = f.lift(cur)
+            norms = np.linalg.norm(img, axis=1)
+            acc[rows] = d * acc[rows] + np.log(norms)
+            cur = img / norms[:, None]
+        Y[rows] = cur
+    return logdet, acc, Y
 
 
 def _grid_occupancy(img: np.ndarray, grid: int):
@@ -346,8 +382,9 @@ def _grid_occupancy(img: np.ndarray, grid: int):
     span = np.maximum(hi - lo, 1e-300)
     h = span / grid
     idx = np.minimum(((flat - lo) / h).astype(int), grid - 1)
-    # each occupied cell is weighted at its first point, in first-occurrence order
-    _, first = np.unique(idx, axis=0, return_index=True)
+    # one integer code per cell; each occupied cell is weighted at its first
+    # point, in first-occurrence order
+    _, first = np.unique(idx @ grid ** np.arange(4), return_index=True)
     first.sort()
     sq = np.sum(np.abs(img[first]) ** 2, axis=1)
     # a scalar power per cell: the array power rounds differently in the last bit

@@ -82,6 +82,23 @@ class TestCommands:
         dists = [r["l1_distance"] for r in out["rows"]]
         assert min(dists) > 0.1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tol", "0", "tol must be positive"),
+            ("--tol", "-1", "tol must be positive"),
+            ("--n", "-1", "n_max must be non-negative"),
+            ("--samples", "0", "need at least 2 samples"),
+            ("--samples", "1", "need at least 2 samples"),
+        ],
+    )
+    def test_equidist_refuses_bad_arguments(self, power_path, capsys, flag, value, message):
+        args = ["equidist", "--map", power_path, "--curve", "z+w+2t", "--n", "2", "--samples", "50"]
+        code = run(args + [flag, value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_invariants_report(self, power_path, capsys):
         code = run(["invariants", "--map", power_path])
         out = json.loads(capsys.readouterr().out)

@@ -1,17 +1,20 @@
 """Dead-code guard: every private module-level function and constant of the library is
 used, and every error class is raised.  Error guard: no handler catches more than the
 package's own errors.  Dependency guard: the library imports no third-party module but
-numpy.
+numpy.  Tooling guard: every function the benchmark tracer patches exists.
 
 Other public names are not checked, because tests use some of them as oracles.
 """
 
 import ast
+import importlib
+import importlib.util
 import sys
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "greenp2"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "greenp2"
 
 
 def _private_definitions(tree):
@@ -117,3 +120,25 @@ def test_runtime_imports_numpy_only():
                 if top != "numpy" and top != "__future__" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert outside == []
+
+
+def test_tracer_targets_resolve():
+    """A renamed library function would otherwise break ``perfbench/run.py --trace 1``."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        del sys.modules[spec.name]
+    missing = []
+    for target in tracer.TARGETS:
+        owner = importlib.import_module(target.module)
+        *cls, name = target.path.split(".")
+        if cls:
+            owner = getattr(owner, cls[0], None)
+        # the tracer patches a classmethod through its function
+        entry = vars(owner).get(name) if owner is not None else None
+        if not callable(getattr(entry, "__func__", entry)):
+            missing.append(f"{target.module}:{target.path}")
+    assert len(tracer.TARGETS) >= 40 and missing == []

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,9 +11,13 @@ from occupancy_reference import loop_grid_occupancy
 from greenp2 import ProjPoint, lattes_map, parse_poly
 from greenp2.errors import FitUnstable, OnCurve
 from greenp2.potentials import (
+    _BLOCK,
+    CLIP_FLOOR,
     _chart_lift,
     _grid_occupancy,
+    _orbit_arrays,
     _orbit_log_jacobian,
+    _tail_n,
     curve_potential,
     equidist_distance,
     green,
@@ -64,6 +70,11 @@ class TestGreen:
         vals = green_batch(power_map, pts, tol=1e-8)
         for k in range(5):
             assert vals[k] == pytest.approx(green(power_map, ProjPoint(pts[k]), tol=1e-8).value, abs=1e-7)
+
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0])
+    def test_batch_refuses_nonpositive_tol(self, power_map, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            green_batch(power_map, fs_points(5, 11), tol=tol)
 
 
 class TestCurvePotential:
@@ -118,6 +129,30 @@ class TestEquidist:
         a = equidist_distance(power_map, parse_poly("z+w+2t"), 4, 500, seed=3)
         b = equidist_distance(power_map, parse_poly("z+w+2t"), 4, 500, seed=3)
         assert [r.l1_distance for r in a.per_n] == [r.l1_distance for r in b.per_n]
+
+    def test_refuses_negative_depth(self, power_map):
+        with pytest.raises(ValueError, match="n_max"):
+            equidist_distance(power_map, parse_poly("z+w+2t"), -1, 500, seed=3)
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_refuses_fewer_than_two_samples(self, power_map, samples):
+        with pytest.raises(ValueError, match="2 samples"):
+            equidist_distance(power_map, parse_poly("z+w+2t"), 4, samples, seed=3)
+
+    def test_memory_is_blockwise(self, power_map):
+        """40 Green steps over 20,000 samples.  One pass over all points kept 41
+        complex triples per sample (a 51 MB peak); the blocked walk keeps 41
+        log-norm and 9 |phi| floats per sample (a 10 MB peak)."""
+        phi = parse_poly("z+w+2t")
+        power_map.lognorm_sup()
+        assert _tail_n(power_map, 1e-12) >= 35
+        tracemalloc.start()
+        try:
+            equidist_distance(power_map, phi, 8, 20000, seed=1, tol=1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestLelong:
@@ -251,6 +286,69 @@ def _log_jacobian_reference(f, X, n):
         acc = d * acc + np.log(norms)
         cur = img / norms[:, None]
     return logdet, acc, cur
+
+
+def _orbit_arrays_reference(f, points, n):
+    """_orbit_arrays as one pass over all points keeping every orbit step, as before blocks."""
+    d = f.degree
+    X = [np.asarray(points, dtype=complex)]
+    a = [np.zeros(X[0].shape[0])]
+    for _ in range(n):
+        img = f.lift(X[-1])
+        norms = np.linalg.norm(img, axis=1)
+        a.append(d * a[-1] + np.log(norms))
+        X.append(img / norms[:, None])
+    return a, X
+
+
+def _equidist_rows_reference(f, phi, n_max, samples, seed, tol):
+    """equidist_distance rows as (n, l1_distance, stderr, clip_fraction) over that pass."""
+    d, k = f.degree, phi.degree
+    n_green = max(n_max, _tail_n(f, tol))
+    a, X = _orbit_arrays_reference(f, fs_points(samples, seed), n_green)
+    g = a[n_green] / d**n_green
+    rows = []
+    for n in range(n_max + 1):
+        vals = np.maximum(np.abs(phi.eval_batch(X[n])), 1e-300)
+        vn = (np.log(vals) + k * a[n]) / (k * d**n)
+        keep = vn > -CLIP_FLOOR
+        diffs = np.abs(vn[keep] - g[keep])
+        stderr = diffs.std(ddof=1) / math.sqrt(max(len(diffs), 2))
+        rows.append((n, float(diffs.mean()), float(stderr), float(1.0 - keep.mean())))
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _block_map(d):
+    return random_valid_map(np.random.default_rng(70 + d), d)
+
+
+class TestOrbitBlocks:
+    """Blocked orbits equal one pass over all points bit for bit at every block boundary.
+
+    A one-row block would differ: numpy evaluates a one-row table product
+    through BLAS dot, which rounds differently from gemv (the B + 1 case).
+    """
+
+    @pytest.mark.parametrize("N", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_whole_array_loop(self, d, N):
+        f = _block_map(d)
+        phi = parse_poly("z+w+2t")
+        X = fs_points(N, 80 + N)
+        n = _tail_n(f, 1e-6)
+        a, xs = _orbit_arrays_reference(f, X, n)
+        assert np.array_equal(green_batch(f, X, tol=1e-6), a[n] / d**n)
+        got_a, got_phi = _orbit_arrays(f, X, n, phi, n)
+        assert np.array_equal(got_a, np.array(a))
+        assert np.array_equal(got_phi, np.array([np.abs(phi.eval_batch(x)) for x in xs]))
+        got = _orbit_log_jacobian(f, X, 3)
+        want = _log_jacobian_reference(f, X, 3)
+        assert all(np.array_equal(u, v) for u, v in zip(got, want))
+        if N >= 2:
+            rep = equidist_distance(f, phi, 4, N, seed=81, tol=1e-6)
+            rows = [(r.n, r.l1_distance, r.stderr, r.clip_fraction) for r in rep.per_n]
+            assert rows == _equidist_rows_reference(f, phi, 4, N, 81, 1e-6)
 
 
 class TestMonomialTable:
