@@ -13,6 +13,10 @@ points where F restricted from a periodic line onto its image line is
 returns.  The exceptional points are those on the invariant lines, and the
 fixed points whose one-step contraction order equals the degree
 (pencil-preserving points).
+
+The linear factors, the line images and the invariant orbits depend on f
+alone; each is computed once per map (``maps.once_per_map``) and shared by
+the public functions, which hand out fresh lists.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComponentInvalid, NonIntegerOrder, NotSuperattracting
-from .maps import ProjMap, ProjPoint, _unit_phase
+from .maps import ProjMap, ProjPoint, _unit_phase, once_per_map
 from .multiplicities import contraction_order, local_degree_step
 from .polys import HomogPoly3, monomial_exponents
 from .roots import roots_batch, strip_trailing
@@ -92,6 +96,7 @@ def _invariant_lines(images):
     return found
 
 
+@once_per_map
 def _line_images(f: ProjMap):
     """(form, multiplicity, j, lambda, residual) for each linear factor l_i of
     the Jacobian: j is the index of the factor with F^-1 {l_j = 0} = {l_i = 0},
@@ -108,7 +113,7 @@ def _line_images(f: ProjMap):
         j = min(range(len(fits)), key=lambda k: fits[k][1])
         lam, res = fits[j]
         out.append((form, m, j if res <= LINE_TOL else None, lam, res))
-    return out
+    return tuple(out)
 
 
 def _pullback_fit(u, v, scale):
@@ -196,10 +201,11 @@ def _wronskian_points(f: ProjMap, pairs):
 
 def invariant_orbits(f: ProjMap):
     """Totally invariant periodic orbits as lists of points."""
-    return _invariant_orbits(f, _line_images(f))
+    return [list(orbit) for orbit in _invariant_orbits(f)]
 
 
-def _invariant_orbits(f: ProjMap, images):
+@once_per_map
+def _invariant_orbits(f: ProjMap):
     """Orbits through the candidates with local degree d^2 that return
     through such candidates.
 
@@ -211,7 +217,7 @@ def _invariant_orbits(f: ProjMap, images):
     """
     d = f.degree
     candidates = [p for p, _ in f.fixed_points()]
-    for p in _wronskian_points(f, _periodic_pairs(images)):
+    for p in _wronskian_points(f, _periodic_pairs(_line_images(f))):
         if all(p.dist(q) > 1e-5 for q in candidates):
             candidates.append(p)
     kept = [p for p in candidates if local_degree_step(f, p) == d**2]
@@ -225,8 +231,8 @@ def _invariant_orbits(f: ProjMap, images):
             orbit.append(cur)
             cur = f.apply(cur)
         if cur.dist(p) <= 1e-5:
-            orbits.append(orbit)
-    return orbits
+            orbits.append(tuple(orbit))
+    return tuple(orbits)
 
 
 def _periodic_pairs(images):
@@ -278,6 +284,7 @@ def detect_linear_critical_components(f: ProjMap):
     return [form for form, _ in _linear_factors(f)]
 
 
+@once_per_map
 def _linear_factors(f: ProjMap):
     """(form, multiplicity) for each linear factor of the lift Jacobian J, from its
     restrictions p to the probe lines.
@@ -303,7 +310,7 @@ def _linear_factors(f: ProjMap):
             for (b1, b2, p), q, rr in zip(probes, deflated, roots_batch(deflated))
         ], factors)
     out = [(HomogPoly3(1, c), m) for c, m in factors]
-    return sorted(out, key=lambda fm: tuple(np.round(np.abs(fm[0].coeffs), 6)))
+    return tuple(sorted(out, key=lambda fm: tuple(np.round(np.abs(fm[0].coeffs), 6))))
 
 
 def _probe_points(degree, p, q, b1, b2, orders, results):
@@ -519,10 +526,9 @@ def exceptional_sets(f: ProjMap, horizon: int = 3) -> ExceptionalSets:
     orbits that lie on them or are fixed with contraction order d."""
     # horizon is unused; it stays because callers such as perfbench/workloads.py pass it
     d = f.degree
-    images = _line_images(f)
-    lines = _invariant_lines(images)
+    lines = _invariant_lines(_line_images(f))
     points = []
-    for orbit in _invariant_orbits(f, images):
+    for orbit in _invariant_orbits(f):
         for p in orbit:
             if any(line.contains(p) for line in lines):
                 points.append((p, "on_E1"))

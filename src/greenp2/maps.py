@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,24 @@ _MACAULAY_FLOOR = 1e-10
 _WITNESS_TOL = 1e-10
 #: Newton steps of the polish
 _POLISH_STEPS = 6
+
+
+def once_per_map(build):
+    """Decorate build(f, *args) to run once per ProjMap instance f and args.
+
+    The value is kept in ``f._memo``, so it lives and dies with f, and a fresh
+    ``ProjMap(f.components, f.nondegeneracy_residual)`` starts cold.  Sequence
+    values are kept as tuples; callers hand out fresh lists.
+    """
+
+    @functools.wraps(build)
+    def memoised(f, *args):
+        key = (build, *args)
+        if key not in f._memo:
+            f._memo[key] = build(f, *args)
+        return f._memo[key]
+
+    return memoised
 
 
 def _unit_phase(v):
@@ -107,9 +126,7 @@ class ProjMap:
         self.components = tuple(components)
         self.degree = self.components[0].degree
         self.nondegeneracy_residual = float(nondegeneracy_residual)
-        self._jacobian = None
-        self._iterates = {1: self.components}
-        self._lognorm_sup = None
+        self._memo = {}  # structure that depends on the map alone; see once_per_map
 
     # -- construction ----------------------------------------------------
 
@@ -177,27 +194,23 @@ class ProjMap:
     # -- cached structure ---------------------------------------------------
 
     @property
+    @once_per_map
     def lift_jacobian(self) -> HomogPoly3:
-        if self._jacobian is None:
-            self._jacobian = jacobian_det(self.components)
-        return self._jacobian
+        return jacobian_det(self.components)
 
+    @once_per_map
     def iterate_lift(self, n: int):
-        """Components of the n-fold composed lift (cached)."""
+        """Components of the n-fold composed lift."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n not in self._iterates:
-            prev = self.iterate_lift(n - 1)
-            self._iterates[n] = compose_map(prev, self.components)
-        return self._iterates[n]
+        return self.components if n == 1 else compose_map(self.iterate_lift(n - 1), self.components)
 
+    @once_per_map
     def lognorm_sup(self) -> float:
         """Safety-padded sup-sphere estimate of |log ||F|| | on unit vectors."""
-        if self._lognorm_sup is None:
-            pts = fs_points(_LOGNORM_SAMPLES, _CERT_SEED)
-            norms = np.linalg.norm(self.lift(pts), axis=1)
-            self._lognorm_sup = float(np.max(np.abs(np.log(norms)))) * _LOGNORM_SAFETY
-        return self._lognorm_sup
+        pts = fs_points(_LOGNORM_SAMPLES, _CERT_SEED)
+        norms = np.linalg.norm(self.lift(pts), axis=1)
+        return float(np.max(np.abs(np.log(norms)))) * _LOGNORM_SAFETY
 
     def __repr__(self):
         return f"ProjMap(d={self.degree}, [{', '.join(p.to_string() for p in self.components)}])"
@@ -215,12 +228,16 @@ class ProjMap:
         zeros of the 2 x 2 minors x_i F_j - x_j F_i of [x; F(x)].  In chart c the
         two minors through x_c cut them out exactly (F_c cannot vanish on them
         by nondegeneracy); the polish uses those."""
+        return list(self._fixed_points())
+
+    @once_per_map
+    def _fixed_points(self):
         d, x, F = self.degree, HomogPoly3.variable, self.components
         pairs = ((0, 1), (0, 2), (1, 2))
         minors = [F[j] * x(i) - x(j) * F[i] for i, j in pairs]
-        return self._solve_projective(
+        return tuple(self._solve_projective(
             minors, 2 * d, d * d + d + 1, lambda c: [m for m, p in zip(minors, pairs) if c in p]
-        )
+        ))
 
     @staticmethod
     def _solve_projective(forms, D, expected, eq_builder):

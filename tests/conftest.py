@@ -34,6 +34,11 @@ def lattes():
     return lattes_map(2)
 
 
+def cold(f):
+    """A copy of f with none of its per-map memo filled."""
+    return ProjMap(f.components, f.nondegeneracy_residual)
+
+
 def random_valid_map(rng, d=2):
     while True:
         comps = [

@@ -1,7 +1,9 @@
 """Dead-code guard: every private module-level function and constant of the library is
 used, and every error class is raised.  Error guard: no handler catches more than the
 package's own errors.  Dependency guard: the library imports no third-party module but
-numpy.  Tooling guard: every function the benchmark tracer patches exists.
+numpy.  Tooling guard: every function the benchmark tracer patches exists.  Cache guard:
+no function that takes a map carries a process-wide cache; per-map structure lives on
+the map instance, so it dies with the map and a cold copy recomputes it.
 
 Other public names are not checked, because tests use some of them as oracles.
 """
@@ -120,6 +122,71 @@ def test_runtime_imports_numpy_only():
                 if top != "numpy" and top != "__future__" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert outside == []
+
+
+_CACHE_DECORATORS = ("lru_cache", "cache")
+
+
+def _is_process_cache(decorator):
+    """``lru_cache``, ``cache``, ``functools.lru_cache(...)`` and the like."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) in _CACHE_DECORATORS
+
+
+def _takes_map(arg):
+    """A parameter annotated ``ProjMap``, or named ``f`` as the library names its maps."""
+    note = arg.annotation
+    names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(note)} if note else set()
+    return "ProjMap" in names or arg.arg == "f"
+
+
+def _map_functions_with_process_cache(tree):
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "ProjMap"
+        for node in cls.body
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            takes_map = id(node) in methods or any(_takes_map(a) for a in args)
+            if takes_map and any(_is_process_cache(d) for d in node.decorator_list):
+                found.append(node.name)
+    return found
+
+
+def test_cache_guard_flags_map_functions():
+    source = """
+import functools
+from functools import cache, lru_cache
+
+@lru_cache(maxsize=None)
+def exponents(degree: int): ...
+
+@functools.lru_cache(maxsize=None)
+def factors(f: ProjMap): ...
+
+@cache
+def images(g: ProjMap | None, tol=1e-7): ...
+
+@functools.cache
+def orbits(f): ...
+
+class ProjMap:
+    @functools.lru_cache
+    def fixed_points(self): ...
+"""
+    assert _map_functions_with_process_cache(ast.parse(source)) == ["factors", "images", "orbits", "fixed_points"]
+
+
+def test_no_process_cache_on_map_functions():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{name}" for name in _map_functions_with_process_cache(tree)]
+    assert found == []
 
 
 def test_tracer_targets_resolve():

@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import conjugate, make_map, random_valid_map, structure_maps
+import greenp2.invariant_sets
+import greenp2.maps
+from conftest import cold, conjugate, make_map, random_valid_map, structure_maps
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, parse_poly
 from greenp2.errors import ComponentInvalid
 from greenp2.invariant_sets import (
@@ -455,7 +459,8 @@ class TestExactIntegers:
 
     def test_no_fibre_solves(self, monkeypatch, power_map, worked_map):
         """Nor any iterate lift: the points come from f itself.  iterate_lift(1),
-        the components of f, is what the local degree counts on."""
+        the components of f, is what the local degree counts on.  Cold copies of
+        the session maps, whose memo earlier tests may have filled."""
         calls = []
         preimages, iterate_lift = ProjMap.preimages, ProjMap.iterate_lift
 
@@ -470,7 +475,7 @@ class TestExactIntegers:
 
         monkeypatch.setattr(ProjMap, "preimages", counted_preimages)
         monkeypatch.setattr(ProjMap, "iterate_lift", counted_iterate_lift)
-        for f in (power_map, worked_map, row_map("1-2", 2), row_map("2-3", 3)):
+        for f in (cold(power_map), cold(worked_map), row_map("1-2", 2), row_map("2-3", 3)):
             exceptional_sets(f)
             invariant_points(f)
             transition_matrix(f)
@@ -494,3 +499,76 @@ class TestExactIntegers:
             v = _transverse_direction(comp, x)
             for p in pulled:
                 assert _arc_vanishing_order(p, x, v) == slope_vanishing_order(p, x, v)
+
+
+class TestPerMapMemo:
+    """Structure that depends on f alone is computed once per map instance."""
+
+    @staticmethod
+    def counters(monkeypatch):
+        """Fixed-point solves, root batches of _linear_factors and the points of
+        local degree steps, recorded as the library makes them."""
+        calls = {"solves": 0, "factor_roots": 0, "steps": []}
+        solve = greenp2.maps.solve_projective
+        roots = greenp2.invariant_sets.roots_batch
+        step = greenp2.invariant_sets.local_degree_step
+
+        def counted_solve(*args):
+            calls["solves"] += 1
+            return solve(*args)
+
+        def counted_roots(rows):
+            calls["factor_roots"] += sys._getframe(1).f_code.co_name == "_linear_factors"
+            return roots(rows)
+
+        def counted_step(f, q):
+            calls["steps"].append(q)
+            return step(f, q)
+
+        monkeypatch.setattr(greenp2.maps, "solve_projective", counted_solve)
+        monkeypatch.setattr(greenp2.invariant_sets, "roots_batch", counted_roots)
+        monkeypatch.setattr(greenp2.invariant_sets, "local_degree_step", counted_step)
+        return calls
+
+    @pytest.mark.parametrize("row, d", [("worked", 2), ("2-3", 2), ("1-2", 3)])
+    def test_invariants_sequence_runs_each_solve_once(self, monkeypatch, worked_map, row, d):
+        """The CLI ``invariants`` calls: one fixed-point solve, one factor search and
+        one local degree step per candidate; a cold copy computes them again."""
+        f = cold(worked_map) if row == "worked" else row_map(row, d)
+        calls = self.counters(monkeypatch)
+        detect_linear_critical_components(cold(f))
+        per_search = calls["factor_roots"]
+        invariant_orbits(cold(f))
+        per_orbits = len(calls["steps"])
+        calls.update(solves=0, factor_roots=0, steps=[])
+
+        for g in (f, f, cold(f)):
+            exceptional_sets(g)
+            transition_matrix(g)
+            invariant_points(g)
+            if g is f:
+                assert calls["solves"] == 1
+                assert calls["factor_roots"] == per_search > 0
+                assert len(calls["steps"]) == per_orbits > 0
+                assert len({id(q) for q in calls["steps"]}) == per_orbits
+        assert calls["solves"] == 2
+        assert calls["factor_roots"] == 2 * per_search
+        assert len(calls["steps"]) == 2 * per_orbits
+
+    def test_returned_lists_are_fresh(self, worked_map):
+        """Changing a returned list leaves the memo, and so later results, as they were."""
+        f = cold(worked_map)
+
+        def snapshot():
+            return (
+                [[p.coords.tobytes() for p in orbit] for orbit in invariant_orbits(f)],
+                [c.coeffs.tobytes() for c in detect_linear_critical_components(f)],
+                [(p.coords.tobytes(), m) for p, m in f.fixed_points()],
+            )
+
+        first = snapshot()
+        assert all(first)
+        invariant_orbits(f)[0].append(ProjPoint([1, 2, 3]))
+        detect_linear_critical_components(f).clear()
+        f.fixed_points().pop()
+        assert snapshot() == first
