@@ -16,7 +16,8 @@ fixed points whose one-step contraction order equals the degree
 
 The linear factors, the line images and the invariant orbits depend on f
 alone; each is computed once per map (``maps.once_per_map``) and shared by
-the public functions, which hand out fresh lists.
+the public functions, which hand out fresh lists of the memo's points and
+forms, whose arrays are read-only.
 """
 
 from __future__ import annotations

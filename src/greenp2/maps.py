@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -32,18 +33,36 @@ def once_per_map(build):
     """Decorate build(f, *args) to run once per ProjMap instance f and args.
 
     The value is kept in ``f._memo``, so it lives and dies with f, and a fresh
-    ``ProjMap(f.components, f.nondegeneracy_residual)`` starts cold.  Sequence
-    values are kept as tuples; callers hand out fresh lists.
+    ``ProjMap(f.components, f.nondegeneracy_residual)`` starts cold.  Keyword
+    arguments are bound to their positions, so ``f.iterate_lift(n=2)`` and
+    ``f.iterate_lift(2)`` share one entry.  Sequence values are kept as tuples
+    (callers hand out fresh lists), and the arrays of the points and forms in
+    them are made read-only, so no caller can change the memo in place.
     """
+    signature = inspect.signature(build)
 
     @functools.wraps(build)
-    def memoised(f, *args):
+    def memoised(f, *args, **kwargs):
+        if kwargs:
+            args = signature.bind(f, *args, **kwargs).args[1:]
         key = (build, *args)
         if key not in f._memo:
-            f._memo[key] = build(f, *args)
+            f._memo[key] = _read_only(build(f, *args))
         return f._memo[key]
 
     return memoised
+
+
+def _read_only(value):
+    """value, with the arrays of its points and forms, through tuples, made read-only."""
+    if isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    elif isinstance(value, ProjPoint):
+        value.coords.flags.writeable = False
+    elif isinstance(value, HomogPoly3):
+        value.coeffs.flags.writeable = False
+    return value
 
 
 def _unit_phase(v):

@@ -572,3 +572,32 @@ class TestPerMapMemo:
         detect_linear_critical_components(f).clear()
         f.fixed_points().pop()
         assert snapshot() == first
+
+    def test_memoised_arrays_are_read_only(self, worked_map):
+        """The points and forms handed out are the memo's own, so their arrays refuse
+        changes in place, and later results stay as they were, bit for bit."""
+        f = cold(worked_map)
+
+        def arrays():
+            return (
+                [p.coords for orbit in invariant_orbits(f) for p in orbit]
+                + [p.coords for p, _ in f.fixed_points()]
+                + [p.coords for p, _ in exceptional_sets(f).e2_points]
+                + [L.form.coeffs for L in exceptional_sets(f).e1_lines]
+                + [c.coeffs for c in detect_linear_critical_components(f)]
+                + [c.coeffs for c in transition_matrix(f).components]
+                + [c.coeffs for c in f.iterate_lift(2)]
+                + [f.lift_jacobian.coeffs]
+            )
+
+        first = [a.tobytes() for a in arrays()]
+        assert len(first) > 8
+        for a in arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2
+        assert [a.tobytes() for a in arrays()] == first
+
+    def test_keyword_arguments_share_the_entry(self, worked_map):
+        f = cold(worked_map)
+        assert f.iterate_lift(n=2) is f.iterate_lift(2)
+        assert sorted(key[1:] for key in f._memo) == [(1,), (2,)]

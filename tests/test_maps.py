@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import conjugate, make_map, random_valid_map, structure_maps
+from conftest import cold, conjugate, make_map, random_valid_map, structure_maps
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, lattes_map, maps, parse_poly, systems
 from greenp2.errors import ChartUndefined, DegenerateMap, DegreeMismatch, GreenP2Error
 from greenp2.multiplicities import local_degree_step, orbit_report
@@ -191,8 +191,9 @@ class TestFixedPoints:
         assert len(fp) == 13 and sum(m for _, m in fp) == 13
 
     def test_deterministic(self, power_map):
-        a = power_map.fixed_points()
-        b = power_map.fixed_points()
+        """Two solves on cold copies: a second call on one map reads its memo."""
+        a = cold(power_map).fixed_points()
+        b = cold(power_map).fixed_points()
         assert all(p.dist(q) == 0 and m == k for (p, m), (q, k) in zip(a, b))
 
     def test_defect_map_d4(self):
