@@ -17,7 +17,6 @@ from .errors import (
     GenerationFailed,
     GreenP2Error,
     IllConditioned,
-    NonIntegerOrder,
     NotSuperattracting,
     OnCurve,
     OrderExceedsTruncation,

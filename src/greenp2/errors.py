@@ -36,13 +36,9 @@ class DegreeMismatch(GreenP2Error):
     """Map components do not share a common degree."""
 
 
-class NonIntegerOrder(GreenP2Error):
-    """A vanishing order has no finite value: the pullback of a critical component
-    vanishes identically along the transverse arc it is read on."""
-
-
 class ComponentInvalid(GreenP2Error):
-    """A supplied critical component does not divide the Jacobian."""
+    """A supplied critical component is not a line, is not a linear factor of the
+    Jacobian, or repeats another component."""
 
 
 class GenerationFailed(GreenP2Error):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComponentInvalid, NonIntegerOrder, NotSuperattracting
+from .errors import ComponentInvalid, NotSuperattracting
 from .maps import ProjMap, ProjPoint, _unit_phase, once_per_map
 from .multiplicities import contraction_order, local_degree_step
 from .polys import HomogPoly3, monomial_exponents
@@ -357,13 +357,8 @@ def _polish_factor(J, ell, m):
     C_(m-1) zero at the factor.  Moving the line to e = a + b u changes
     C_(m-1) by m C_m (a + b u) to first order: a regular equation for (a, b).
     """
-    n = J.degree
-    grid = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     for _ in range(8):
-        nrm = np.conj(ell) / np.linalg.norm(ell)
-        b1, b2 = _line_basis(ell)
-        pts = b1 + grid[:, None, None] * b2 + grid[None, :, None] * nrm
-        C = np.fft.fft2(J.eval_batch(pts.reshape(-1, 3)).reshape(n + 1, n + 1)) / (n + 1) ** 2
+        (b1, b2, nrm), C = _frame_coeffs(J.eval_batch, ell, J.degree)
         col = m * C[:, m]
         A = np.stack([col, np.roll(col, 1)], axis=1)  # m C_m and m u C_m
         (a, b), *_ = np.linalg.lstsq(A, -C[:, m - 1], rcond=None)
@@ -371,6 +366,24 @@ def _polish_factor(J, ell, m):
         if max(abs(a), abs(b)) <= 1e-10:
             return ell
     return None
+
+
+def _frame_coeffs(values, ell, n):
+    """The frame (b1, b2, nrm) of the line {ell = 0}, and the coefficients
+    C[..., p, q] of u^p e^q in g(b1 + u b2 + e nrm) for forms g of degree n.
+
+    b1, b2 = ``_line_basis(ell)`` span the line and nrm = conj(ell) / |ell| is
+    its unit normal, so ell = |ell| e in the frame: the lowest power of e in g
+    is the order of ell as a factor of g.  ``values`` maps (N, 3) points to
+    (N,) or (N, k) values, one column per form; C comes from their values on a
+    grid of (n + 1)-th roots of unity by one fft2.
+    """
+    nrm = np.conj(ell) / np.linalg.norm(ell)
+    b1, b2 = _line_basis(ell)
+    grid = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    pts = b1 + grid[:, None, None] * b2 + grid[None, :, None] * nrm
+    vals = np.moveaxis(values(pts.reshape(-1, 3)), 0, -1)
+    return (b1, b2, nrm), np.fft.fft2(vals.reshape(vals.shape[:-1] + (n + 1, n + 1))) / (n + 1) ** 2
 
 
 def _deflate(p, b1, b2, factors):
@@ -383,96 +396,55 @@ def _deflate(p, b1, b2, factors):
     return strip_trailing(np.polydiv(p[::-1], np.poly(roots))[0][::-1])
 
 
-def _component_sample(f: ProjMap, comp: HomogPoly3, others, seed=17):
-    """A smooth sample point of {comp = 0} away from the other components."""
-    rng = np.random.default_rng(seed)
-    lines = []
-    for _ in range(40):
-        b1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        b1, b2 = b1 / np.linalg.norm(b1), b2 / np.linalg.norm(b2)
-        co = comp.restrict_line(b1, b2)
-        if np.max(np.abs(co)) >= 1e-12:
-            lines.append((b1, b2, co))
-    best = None
-    for (b1, b2, _), rr in zip(lines, roots_batch([co for _, _, co in lines])):
-        for cl in rr.clusters:
-            x = ProjPoint(b1 + cl.root * b2)
-            clearance = min(
-                (abs(o(x.coords)) / max(o.coeff_norm, 1e-300) for o in others),
-                default=1.0,
-            )
-            if best is None or clearance > best[0]:
-                best = (clearance, x)
-    if best is None or best[0] < 1e-6:
-        raise ComponentInvalid("no clean smooth sample point on a component")
-    return best[1]
-
-
-def transition_matrix(f: ProjMap, components=None, seed=17) -> TransitionMatrix:
+def transition_matrix(f: ProjMap, components=None) -> TransitionMatrix:
     """Pullback exponents of critical components, with Perron-Frobenius data.
 
-    t[i, j] is the generic vanishing order of comp_i o F along component j,
-    read off the coefficients of comp_i o F along a transverse arc.
+    The components are linear factors of the lift Jacobian, by default all of
+    them.  t[i, j] is the order of l_j as a factor of l_i o F: in the frame of
+    {l_j = 0} (``_frame_coeffs``), the lowest power of the normal coordinate
+    with a coefficient above 1e-8 of the largest of l_i o F.  Column j takes
+    one lift of F, on the frame's grid.
     """
+    factors = [form for form, _ in _linear_factors(f)]
     if components is None:
-        components = detect_linear_critical_components(f)
+        components = factors
     else:
         components = list(components)
-        for comp in components:
-            if not _divides_jacobian(f, comp):
-                raise ComponentInvalid(f"{comp.to_string()} does not divide the Jacobian")
+        factors = _supplied_factors(factors, components)
     k = len(components)
     if k == 0:
         return TransitionMatrix([], np.zeros((0, 0), dtype=int), 0.0, np.zeros(0))
 
-    pulled = [c.compose(f.components) for c in components]
+    coeffs = np.stack([form.coeffs for form in factors])
     t = np.zeros((k, k), dtype=int)
-    for j, comp_j in enumerate(components):
-        others = [c for i, c in enumerate(components) if i != j]
-        x = _component_sample(f, comp_j, others, seed=seed + j)
-        v = _transverse_direction(comp_j, x)
-        for i in range(k):
-            t[i, j] = _arc_vanishing_order(pulled[i], x, v)
+    for j, ell in enumerate(coeffs):
+        C = np.abs(_frame_coeffs(lambda x: f.lift(x) @ coeffs.T, ell, f.degree)[1])
+        big = C > 1e-8 * C.max(axis=(1, 2), keepdims=True)
+        t[:, j] = np.argmax(big.any(axis=1), axis=1)
     rho, perron = _perron(t)
     return TransitionMatrix(components, t, rho, perron)
 
 
-def _divides_jacobian(f: ProjMap, comp: HomogPoly3) -> bool:
-    """Does comp divide the lift Jacobian?  A line must be one of its linear factors.
+def _supplied_factors(factors, components):
+    """The linear factor of the Jacobian that each supplied component is.
 
-    The Jacobian stays below the vanishing test's tolerance along lines up to
-    about (1e-7)^(1/m) from an m-fold factor, so the test alone accepts them.
+    A component must be a line within 1e-5 of a factor, once both are
+    canonical, and no two components may be the same factor.  A vanishing test
+    would not do: the Jacobian stays below its tolerance along lines up to
+    about (1e-7)^(1/m) from an m-fold factor.
     """
-    if comp.degree == 1:
+    matched = []
+    for comp in components:
+        if comp.degree != 1:
+            raise ComponentInvalid(f"{comp.to_string()} is not a line; components are linear factors of the Jacobian")
         c = _factor_coeffs(comp.coeffs)
-        return any(np.linalg.norm(c - o.coeffs) <= 1e-5 for o, _ in _linear_factors(f))
-    others: list = []
-    try:
-        for s in range(3):
-            x = _component_sample(f, comp, others, seed=23 + s)
-            val = abs(f.lift_jacobian(x.coords))
-            if val > 1e-6 * max(f.lift_jacobian.coeff_norm, 1e-300):
-                return False
-        return True
-    except ComponentInvalid:
-        return False
-
-
-def _transverse_direction(comp: HomogPoly3, x: ProjPoint):
-    grad = np.array([comp.partial(v)(x.coords) for v in range(3)])
-    n = np.linalg.norm(grad)
-    if n < 1e-12:
-        raise ComponentInvalid("sample point is singular on the component")
-    return np.conj(grad) / n
-
-
-def _arc_vanishing_order(pulled: HomogPoly3, x: ProjPoint, v) -> int:
-    """Order in s of pulled(x + s v): its first coefficient above the rounding level."""
-    co = np.abs(pulled.restrict_line(x.coords, v))
-    if co.max() == 0.0:
-        raise NonIntegerOrder("pullback vanishes identically along the arc")
-    return int(np.argmax(co > 1e-8 * co.max()))
+        near = [o for o in factors if np.linalg.norm(c - o.coeffs) <= 1e-5]
+        if not near:
+            raise ComponentInvalid(f"{comp.to_string()} does not divide the Jacobian")
+        if any(near[0] is o for o in matched):
+            raise ComponentInvalid(f"{comp.to_string()} repeats a component")
+        matched.append(near[0])
+    return matched
 
 
 def _perron(t: np.ndarray):

@@ -5,16 +5,14 @@ import pytest
 
 import greenp2.invariant_sets
 import greenp2.maps
+import greenp2.roots
 from conftest import cold, conjugate, make_map, random_valid_map, structure_maps
-from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, parse_poly
+from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, lattes_map, parse_poly
 from greenp2.errors import ComponentInvalid
 from greenp2.invariant_sets import (
-    _arc_vanishing_order,
     _canonical_coeffs,
-    _component_sample,
-    _divides_jacobian,
     _orthonormal_completion,
-    _transverse_direction,
+    _supplied_factors,
     classify,
     conjugacy_check,
     detect_linear_critical_components,
@@ -26,7 +24,7 @@ from greenp2.invariant_sets import (
     transition_matrix,
 )
 from greenp2.multiplicities import jacobian_multiplicity, local_degree_step
-from invariance_reference import fibre_totally_invariant, slope_vanishing_order
+from invariance_reference import fibre_totally_invariant, sampled_transition_matrix, slope_vanishing_order
 
 
 def line_names(lines):
@@ -295,9 +293,24 @@ class TestTransitionMatrix:
     def test_rescaled_factors_accepted(self, row, d):
         f = row_map(row, d)
         factors = detect_linear_critical_components(f)
-        assert all(_divides_jacobian(f, c.scale(s)) for c in factors for s in (2.5, 0.3 - 1.5j))
+        for s in (2.5, 0.3 - 1.5j):
+            matched = _supplied_factors(factors, [c.scale(s) for c in factors])
+            assert all(a is b for a, b in zip(matched, factors))
         tm = transition_matrix(f, components=[c.scale(0.3 - 1.5j) for c in factors])
         assert tm.matrix.tolist() == transition_matrix(f).matrix.tolist()
+
+    @pytest.mark.parametrize("names", [["w", "w"], ["w", "t", "2*t"]])
+    def test_repeated_components_rejected(self, names):
+        f = configuration_map("2-2", 2, rng_seed=6)
+        with pytest.raises(ComponentInvalid, match="repeats"):
+            transition_matrix(f, components=[parse_poly(s) for s in names])
+
+    def test_product_of_factor_lines_rejected(self):
+        """w t divides the Jacobian, but the components are its linear factors."""
+        f = configuration_map("2-2", 2, rng_seed=6)
+        assert transition_matrix(f, components=[parse_poly("w"), parse_poly("t")]).matrix.shape == (2, 2)
+        with pytest.raises(ComponentInvalid, match="not a line"):
+            transition_matrix(f, components=[parse_poly("w*t")])
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_rows_beyond_d3(self, d):
@@ -492,13 +505,20 @@ class TestExactIntegers:
     @pytest.mark.parametrize("row", CONFIGURATION_IDS)
     def test_arc_orders_match_slope_fit(self, row):
         f = row_map(row, 2)
-        comps = detect_linear_critical_components(f)
-        pulled = [c.compose(f.components) for c in comps]
-        for j, comp in enumerate(comps):
-            x = _component_sample(f, comp, comps[:j] + comps[j + 1:], seed=17 + j)
-            v = _transverse_direction(comp, x)
-            for p in pulled:
-                assert _arc_vanishing_order(p, x, v) == slope_vanishing_order(p, x, v)
+        sampled = sampled_transition_matrix(f)
+        assert np.array_equal(sampled, sampled_transition_matrix(f, order=slope_vanishing_order))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_exact_matrix_matches_sampled(self, d):
+        """The exact line valuations equal the sampled arc orders on the rows, on
+        Lattes maps at d = 2, 3 and on unitary conjugates of the rows at d = 3, 5."""
+        maps = [row_map(row, d) for row in CONFIGURATION_IDS]
+        if d in (3, 5):
+            maps += [unitary_conjugate(f, 31)[0] for f in maps]
+        if d in (2, 3):
+            maps.append(lattes_map(d))
+        for f in maps:
+            assert np.array_equal(transition_matrix(f).matrix, sampled_transition_matrix(f))
 
 
 class TestPerMapMemo:
@@ -554,6 +574,31 @@ class TestPerMapMemo:
         assert calls["solves"] == 2
         assert calls["factor_roots"] == 2 * per_search
         assert len(calls["steps"]) == 2 * per_orbits
+
+    @pytest.mark.parametrize("row, d", [("worked", 2), ("2-3", 3), ("1-1-free", 5)])
+    def test_transition_matrix_reuses_the_memo(self, monkeypatch, worked_map, row, d):
+        """Once exceptional_sets has run, the matrix needs no root finding and one
+        lift of F per component, for the detected and for supplied components."""
+        f = cold(worked_map) if row == "worked" else row_map(row, d)
+        exceptional_sets(f)
+        calls = {"roots": 0, "lifts": 0}
+        roots, lift = greenp2.invariant_sets.roots_batch, ProjMap.lift
+
+        def counted_roots(rows):
+            calls["roots"] += 1
+            return roots(rows)
+
+        def counted_lift(self, points):
+            calls["lifts"] += 1
+            return lift(self, points)
+
+        monkeypatch.setattr(greenp2.invariant_sets, "roots_batch", counted_roots)
+        monkeypatch.setattr(greenp2.roots, "roots_batch", counted_roots)
+        monkeypatch.setattr(ProjMap, "lift", counted_lift)
+        comps = transition_matrix(f).components
+        transition_matrix(f, components=[c.scale(2.5) for c in comps[:2]])
+        assert calls == {"roots": 0, "lifts": len(comps) + min(2, len(comps))}
+        assert len(comps) >= 2
 
     def test_returned_lists_are_fresh(self, worked_map):
         """Changing a returned list leaves the memo, and so later results, as they were."""
