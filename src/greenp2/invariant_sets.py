@@ -405,7 +405,7 @@ def transition_matrix(f: ProjMap, components=None) -> TransitionMatrix:
     with a coefficient above 1e-8 of the largest of l_i o F.  Column j takes
     one lift of F, on the frame's grid.
     """
-    factors = [form for form, _ in _linear_factors(f)]
+    factors = detect_linear_critical_components(f)
     if components is None:
         components = factors
     else:
@@ -435,7 +435,7 @@ def _supplied_factors(factors, components):
     """
     matched = []
     for comp in components:
-        if comp.degree != 1:
+        if comp.degree != 1 or not comp.coeffs.any():
             raise ComponentInvalid(f"{comp.to_string()} is not a line; components are linear factors of the Jacobian")
         c = _factor_coeffs(comp.coeffs)
         near = [o for o in factors if np.linalg.norm(c - o.coeffs) <= 1e-5]

@@ -53,25 +53,25 @@ def slope_vanishing_order(pulled, x, v) -> int:
     return int(order)
 
 
-def sampled_transition_matrix(f, components=None, order=None, seed=17):
-    """t[i, j] = order(comp_i o F, x, v) at a sample point x of component j and
-    along the transverse direction v there; ``order`` defaults to the arc's
-    first coefficient above 1e-8 of its largest."""
-    if components is None:
-        components = detect_linear_critical_components(f)
+def sampled_transition_matrix(f, order=None):
+    """t[i, j] = order(comp_i o F, x, v) for the linear factors comp_i of the
+    Jacobian, at a sample point x of component j and along the transverse
+    direction v there; ``order`` defaults to the arc's first coefficient above
+    1e-8 of its largest."""
+    components = detect_linear_critical_components(f)
     order = order or _arc_vanishing_order
     pulled = [c.compose(f.components) for c in components]
     k = len(components)
     t = np.zeros((k, k), dtype=int)
     for j, comp in enumerate(components):
-        x = _component_sample(f, comp, components[:j] + components[j + 1:], seed=seed + j)
+        x = _component_sample(f, comp, components[:j] + components[j + 1:], seed=17 + j)
         v = _transverse_direction(comp, x)
         for i in range(k):
             t[i, j] = order(pulled[i], x, v)
     return t
 
 
-def _component_sample(f, comp, others, seed=17):
+def _component_sample(f, comp, others, seed):
     """A smooth sample point of {comp = 0} away from the other components."""
     rng = np.random.default_rng(seed)
     lines = []

@@ -306,11 +306,15 @@ class TestTransitionMatrix:
             transition_matrix(f, components=[parse_poly(s) for s in names])
 
     def test_product_of_factor_lines_rejected(self):
-        """w t divides the Jacobian, but the components are its linear factors."""
+        """w t divides the Jacobian, but the components are its linear factors;
+        the zero form and a constant are no lines either."""
+        from greenp2.polys import HomogPoly3
+
         f = configuration_map("2-2", 2, rng_seed=6)
         assert transition_matrix(f, components=[parse_poly("w"), parse_poly("t")]).matrix.shape == (2, 2)
-        with pytest.raises(ComponentInvalid, match="not a line"):
-            transition_matrix(f, components=[parse_poly("w*t")])
+        for comp in (parse_poly("w*t"), HomogPoly3(1, np.zeros(3)), HomogPoly3(0, [1.0])):
+            with pytest.raises(ComponentInvalid, match="not a line"):
+                transition_matrix(f, components=[comp])
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_rows_beyond_d3(self, d):
