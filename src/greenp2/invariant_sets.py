@@ -436,7 +436,7 @@ def _supplied_factors(factors, components):
     matched = []
     for comp in components:
         if comp.degree != 1 or not comp.coeffs.any():
-            raise ComponentInvalid(f"{comp.to_string()} is not a line; components are linear factors of the Jacobian")
+            raise ComponentInvalid(f"{comp.to_string()} is not a line")
         c = _factor_coeffs(comp.coeffs)
         near = [o for o in factors if np.linalg.norm(c - o.coeffs) <= 1e-5]
         if not near:
