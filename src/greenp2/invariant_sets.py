@@ -34,6 +34,8 @@ from .polys import HomogPoly3, monomial_exponents
 from .roots import roots_batch, strip_trailing
 
 LINE_TOL = 1e-7
+#: largest |J| at a unit point, relative to J's largest coefficient, that may be critical
+_CRITICAL_TOL = 1e-6
 #: two fixed lines, spanned by points off the coordinate lines, whose coefficients
 #: have near-equal moduli: far from the vertices, where structured maps put pencils
 _PROBE_LINES = (
@@ -77,6 +79,11 @@ def _line_basis(l):
         v[j] = -l[i] / l[j]
         basis.append(v / np.linalg.norm(v))
     return basis[0], basis[1]
+
+
+def _cross(a, b):
+    """np.cross of two 3-vectors: the same products and differences, without its overhead."""
+    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
 
 
 def _canonical_coeffs(v):
@@ -215,13 +222,20 @@ def _invariant_orbits(f: ProjMap):
     each point on one, and each is its image's whole fibre there.  Off those
     lines the cycle has one point, since no configuration of f^k has two
     exceptional points off its lines, so it is a fixed point.
+
+    F is a local biholomorphism where the Jacobian J does not vanish, so a
+    candidate takes a local degree step only where |J| at its unit point is
+    at most _CRITICAL_TOL times J's largest coefficient; the others have
+    local degree 1.
     """
-    d = f.degree
+    d, J = f.degree, f.lift_jacobian
     candidates = [p for p, _ in f.fixed_points()]
     for p in _wronskian_points(f, _periodic_pairs(_line_images(f))):
         if all(p.dist(q) > 1e-5 for q in candidates):
             candidates.append(p)
-    kept = [p for p in candidates if local_degree_step(f, p) == d**2]
+    values = J.eval_batch(np.array([p.coords for p in candidates]).reshape(-1, 3))
+    critical = np.abs(values) <= _CRITICAL_TOL * J.coeff_norm
+    kept = [p for p, c in zip(candidates, critical) if c and local_degree_step(f, p) == d**2]
     orbits = []
     for p in kept:
         if any(p.dist(q) <= 1e-5 for orbit in orbits for q in orbit):
@@ -334,9 +348,9 @@ def _probe_points(degree, p, q, b1, b2, orders, results):
 def _add_factors(f: ProjMap, points, factors):
     """Lines through equal-order points of the two probes that J vanishes along."""
     for (p1, k), (p2, k2) in itertools.product(*points):
-        if k != k2 or not _line_divides_jacobian(f, np.cross(p1, p2)):
+        if k != k2 or not _line_divides_jacobian(f, _cross(p1, p2)):
             continue
-        ell = _polish_factor(f.lift_jacobian, np.cross(p1, p2), k + 1)
+        ell = _polish_factor(f.lift_jacobian, _cross(p1, p2), k + 1)
         if ell is None or not _line_divides_jacobian(f, ell):
             continue
         c = _factor_coeffs(ell)
@@ -362,7 +376,7 @@ def _polish_factor(J, ell, m):
         col = m * C[:, m]
         A = np.stack([col, np.roll(col, 1)], axis=1)  # m C_m and m u C_m
         (a, b), *_ = np.linalg.lstsq(A, -C[:, m - 1], rcond=None)
-        ell = np.cross(b1 + a * nrm, b2 + b * nrm)
+        ell = _cross(b1 + a * nrm, b2 + b * nrm)
         if max(abs(a), abs(b)) <= 1e-10:
             return ell
     return None

@@ -53,6 +53,25 @@ def monomial_table(pts: np.ndarray, degree: int) -> np.ndarray:
     return monos
 
 
+@lru_cache(maxsize=None)
+def _partial_index(degree: int, var: int):
+    """The monomials holding var, the positions of their derivatives and var's exponents."""
+    exps = monomial_exponents(degree)
+    mask = exps[:, var] >= 1
+    lowered = exps[mask] - np.eye(3, dtype=np.int64)[var]
+    out = (mask, monomial_position(*lowered.T), exps[mask, var])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def eval_forms(forms, points) -> list:
+    """[g.eval_batch(points) for g in forms], from one monomial table per degree."""
+    pts = np.asarray(points, dtype=complex).reshape(-1, 3)
+    tables = {d: monomial_table(pts, d) for d in {g.degree for g in forms if g.degree}}
+    return [tables[g.degree] @ g.coeffs if g.degree else g.eval_batch(pts) for g in forms]
+
+
 def n_monomials(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
@@ -78,7 +97,7 @@ class HomogPoly3:
             c = np.asarray(coeffs, dtype=complex)
             if c.shape != (m,):
                 raise ValueError(f"expected {m} coefficients for degree {degree}, got {c.shape}")
-            if not np.all(np.isfinite(c)):
+            if not np.isfinite(c).all():
                 raise ValueError("coefficients must be finite")
             self.coeffs = c.copy()
 
@@ -200,16 +219,10 @@ class HomogPoly3:
         """Partial derivative with respect to variable index 0|1|2."""
         if self.degree == 0:
             return HomogPoly3(0, [0.0])
-        d = self.degree
-        exps = monomial_exponents(d)
-        mask = exps[:, var] >= 1
-        new = exps[mask].copy()
-        new[:, var] -= 1
-        dd = d - 1
-        pos = (dd - new[:, 0]) * (dd - new[:, 0] + 1) // 2 + (dd - new[:, 0] - new[:, 1])
-        out = np.zeros(n_monomials(dd), dtype=complex)
-        np.add.at(out, pos, self.coeffs[mask] * exps[mask, var])
-        return HomogPoly3(dd, out)
+        mask, pos, power = _partial_index(self.degree, var)
+        out = np.zeros(n_monomials(self.degree - 1), dtype=complex)
+        out[pos] += self.coeffs[mask] * power  # pos has no repeats
+        return HomogPoly3(self.degree - 1, out)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IllConditioned, PositiveDimensional
-from .polys import homogenize_bivariate, monomial_exponents, monomial_position, n_monomials
+from .polys import eval_forms, homogenize_bivariate, monomial_exponents, monomial_position, n_monomials
 from .series import AffineSeries2, _numerical_rank
 
 #: generic linear forms l; the best conditioned one divides the multiplication matrices
@@ -54,7 +54,8 @@ def macaulay_matrix(forms, D: int) -> np.ndarray:
 
 def residuals(points, forms) -> np.ndarray:
     """max_g |g(x)| / |g| at each unit vector x."""
-    return np.max([np.abs(g.eval_batch(points)) / max(np.linalg.norm(g.coeffs), 1e-300) for g in forms], axis=0)
+    values = eval_forms(forms, points)
+    return np.max([np.abs(v) / max(np.linalg.norm(g.coeffs), 1e-300) for g, v in zip(forms, values)], axis=0)
 
 
 def solve_projective(forms, D: int, k: int):
@@ -129,9 +130,10 @@ def _alpha(points, forms) -> np.ndarray:
     """
     x = points / np.linalg.norm(points, axis=1)[:, None]
     units = [g.scale(1.0 / np.linalg.norm(g.coeffs)) for g in forms]
-    firsts = [[g.partial(v) for v in range(3)] for g in units]
-    grads = np.array([[h.eval_batch(x) for h in r] for r in firsts]).transpose(2, 0, 1)
-    hess = np.array([[[h.partial(w).eval_batch(x) for w in range(3)] for h in r] for r in firsts]).transpose(3, 0, 1, 2)
+    firsts = [g.partial(v) for g in units for v in range(3)]
+    seconds = [h.partial(w) for h in firsts for w in range(3)]
+    grads = np.array(eval_forms(firsts, x)).reshape(len(forms), 3, -1).transpose(2, 0, 1)
+    hess = np.array(eval_forms(seconds, x)).reshape(len(forms), 3, 3, -1).transpose(3, 0, 1, 2)
     values = np.einsum("nfv,nv->nf", grads, x) / [g.degree for g in forms]  # Euler's identity
     tangent = np.linalg.svd(x.conj()[:, None, :])[2][:, 1:].conj().transpose(0, 2, 1)
     u, sv, vh = np.linalg.svd(grads @ tangent, full_matrices=False)

@@ -11,6 +11,7 @@ from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, la
 from greenp2.errors import ComponentInvalid
 from greenp2.invariant_sets import (
     _canonical_coeffs,
+    _cross,
     _orthonormal_completion,
     _supplied_factors,
     classify,
@@ -25,6 +26,16 @@ from greenp2.invariant_sets import (
 )
 from greenp2.multiplicities import jacobian_multiplicity, local_degree_step
 from invariance_reference import fibre_totally_invariant, sampled_transition_matrix, slope_vanishing_order
+
+
+def test_cross_matches_numpy():
+    """The line through two points is np.cross's, bit for bit, zeros and signs included."""
+    rng = np.random.default_rng(63)
+    for _ in range(2000):
+        a, b = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) * 10.0 ** rng.uniform(-6, 6, (2, 1))
+        a[rng.integers(3)] = 0.0
+        b[rng.integers(3)] = -b[rng.integers(3)].real
+        assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 def line_names(lines):
@@ -226,6 +237,25 @@ class TestInvariantPoints:
         sets = exceptional_sets(f)
         assert [kind for _, kind in sets.e2_points] == ["homogeneous", "on_E1", "on_E1"]
         assert [p.dist(ProjPoint(c)) < 1e-8 for (p, _), c in zip(sets.e2_points, np.eye(3)[::-1])] == [True] * 3
+
+
+    @pytest.mark.parametrize("row, d", [("0-1", 2), ("1-0", 2), ("1-2", 3)])
+    def test_only_critical_candidates_take_a_degree_step(self, monkeypatch, row, d):
+        """A candidate where J does not vanish has local degree 1 and takes no
+        step; stepping every candidate finds the same orbits, bit for bit."""
+        f = row_map(row, d)
+        J = f.lift_jacobian
+        calls = TestPerMapMemo.counters(monkeypatch)
+        orbits = invariant_orbits(cold(f))
+        stepped = calls["steps"][:]
+        assert stepped and all(abs(J(q.coords)) <= 1e-6 * J.coeff_norm for q in stepped)
+        monkeypatch.setattr(greenp2.invariant_sets, "_CRITICAL_TOL", np.inf)
+        calls["steps"].clear()
+        every = invariant_orbits(cold(f))
+        skipped = [q for q in calls["steps"] if abs(J(q.coords)) > 1e-6 * J.coeff_norm]
+        assert len(calls["steps"]) == len(stepped) + len(skipped) and skipped
+        assert all(local_degree_step(f, q) == 1 for q in skipped)
+        assert [[p.coords.tobytes() for p in o] for o in every] == [[p.coords.tobytes() for p in o] for o in orbits]
 
 
 class TestIterateSolves:
@@ -556,7 +586,7 @@ class TestPerMapMemo:
     @pytest.mark.parametrize("row, d", [("worked", 2), ("2-3", 2), ("1-2", 3)])
     def test_invariants_sequence_runs_each_solve_once(self, monkeypatch, worked_map, row, d):
         """The CLI ``invariants`` calls: one fixed-point solve, one factor search and
-        one local degree step per candidate; a cold copy computes them again."""
+        one local degree step per critical candidate; a cold copy computes them again."""
         f = cold(worked_map) if row == "worked" else row_map(row, d)
         calls = self.counters(monkeypatch)
         detect_linear_critical_components(cold(f))

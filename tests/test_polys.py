@@ -5,9 +5,11 @@ from greenp2.errors import ParseError
 from greenp2.polys import (
     HomogPoly3,
     compose_map,
+    eval_forms,
     homogenize_bivariate,
     jacobian_det,
     monomial_exponents,
+    monomial_position,
     n_monomials,
     parse_poly,
 )
@@ -63,6 +65,44 @@ def test_partial_derivative():
     assert pz.coeff(1, 1, 0) == 2 and pz.coeff(0, 0, 2) == 0
     pt = p.partial(2)
     assert pt.coeff(0, 0, 2) == 3
+
+
+def _partial_by_scatter(p, var):
+    """Coefficients of the derivative, scattered term by term into zeros."""
+    exps = monomial_exponents(p.degree)
+    mask = exps[:, var] >= 1
+    new = exps[mask].copy()
+    new[:, var] -= 1
+    out = np.zeros(n_monomials(p.degree - 1), dtype=complex)
+    np.add.at(out, monomial_position(new[:, 0], new[:, 1], new[:, 2]), p.coeffs[mask] * exps[mask, var])
+    return out
+
+
+def test_partial_matches_scatter():
+    """The derivative from cached positions is the term-by-term scatter, bit for
+    bit, signed zeros included, at degrees 1..6."""
+    rng = np.random.default_rng(61)
+    for d in range(1, 7):
+        m = n_monomials(d)
+        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        c[rng.integers(m, size=2)] = (-0.0, complex(-0.0, -1.0))
+        p = HomogPoly3(d, c)
+        for v in range(3):
+            got = p.partial(v)
+            assert got.degree == d - 1 and got.coeffs.tobytes() == _partial_by_scatter(p, v).tobytes()
+    assert HomogPoly3(0, [2.0]).partial(1).coeffs.tolist() == [0.0]
+
+
+def test_eval_forms_matches_eval_batch():
+    """One monomial table per degree gives each form's eval_batch values bit for bit."""
+    rng = np.random.default_rng(62)
+    x = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    forms = [HomogPoly3(d, rng.standard_normal(n_monomials(d)) + 1j * rng.standard_normal(n_monomials(d)))
+             for d in (2, 0, 3, 2, 1, 3)]
+    values = eval_forms(forms, x)
+    assert len(values) == len(forms)
+    for v, g in zip(values, forms):
+        assert v.tobytes() == g.eval_batch(x).tobytes()
 
 
 def test_compose_power_map():
