@@ -361,6 +361,8 @@ def _cmd_kiselman(args, seed):
 
 
 def _cmd_volume(args, seed):
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     f = _load_map(args)
     chart = CHART_INDEX[args.chart]
     rows = []

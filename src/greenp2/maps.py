@@ -82,6 +82,20 @@ def _unit_phase(v):
     return v
 
 
+def _unit_rows(v):
+    """(log norms, unit rows) of an (N, 3) complex array.
+
+    The norms are np.linalg.norm(v, axis=1) to the bit, without its reduce
+    over a length-3 axis: the squared moduli summed left to right.  numpy
+    divides a complex number by a real c with Smith's formula, which
+    multiplies by 1 / c, so the rows equal ``v / norms[:, None]`` except for
+    the sign of an exact zero.
+    """
+    s = (v.conj() * v).real
+    norms = np.sqrt((s[:, 0] + s[:, 1]) + s[:, 2])
+    return np.log(norms), v * (1.0 / norms)[:, None]
+
+
 class ProjPoint:
     """A point of the projective plane as a unit vector with canonical phase."""
 
@@ -176,12 +190,20 @@ class ProjMap:
     # -- evaluation --------------------------------------------------------
 
     def lift(self, points) -> np.ndarray:
+        """F at an (N, 3) array of points (or at one point).
+
+        Each component is one gemv of the C-contiguous monomial table, written
+        into its column: one gemm for all three rounds differently (see
+        ``monomial_table``).
+        """
         pts = np.asarray(points, dtype=complex)
         single = pts.ndim == 1
         if single:
             pts = pts.reshape(1, 3)
         table = monomial_table(pts, self.degree)
-        out = np.stack([table @ p.coeffs for p in self.components], axis=1)
+        out = np.empty((pts.shape[0], 3), dtype=complex)
+        for i, p in enumerate(self.components):
+            out[:, i] = table @ p.coeffs
         return out[0] if single else out
 
     def apply(self, x: ProjPoint) -> ProjPoint:
@@ -228,8 +250,8 @@ class ProjMap:
     def lognorm_sup(self) -> float:
         """Safety-padded sup-sphere estimate of |log ||F|| | on unit vectors."""
         pts = fs_points(_LOGNORM_SAMPLES, _CERT_SEED)
-        norms = np.linalg.norm(self.lift(pts), axis=1)
-        return float(np.max(np.abs(np.log(norms)))) * _LOGNORM_SAFETY
+        lognorms, _ = _unit_rows(self.lift(pts))
+        return float(np.max(np.abs(lognorms))) * _LOGNORM_SAFETY
 
     def __repr__(self):
         return f"ProjMap(d={self.degree}, [{', '.join(p.to_string() for p in self.components)}])"

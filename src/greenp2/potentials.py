@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitUnstable, OnCurve
-from .maps import ProjMap, ProjPoint
+from .maps import ProjMap, ProjPoint, _unit_rows
 from .polys import HomogPoly3, monomial_table
 from .sampling import ball_points, fs_points, polydisk_points, rng_from, sphere_shell, torus_points
 
@@ -125,10 +125,8 @@ def _orbit_arrays(
                 v[k, rows] = np.abs(phi.eval_batch(x))
             if k == n:
                 break
-            img = f.lift(x)
-            norms = np.linalg.norm(img, axis=1)
-            a[k + 1, rows] = d * a[k, rows] + np.log(norms)
-            x = img / norms[:, None]
+            lognorms, x = _unit_rows(f.lift(x))
+            a[k + 1, rows] = d * a[k, rows] + lognorms
     return a, v
 
 
@@ -294,10 +292,16 @@ def volume_decay(
     the ball in the chart of the image centroid.
     """
     chart, center, radius = ball
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    if chart not in (0, 1, 2):
+        raise ValueError(f"chart must be 0, 1 or 2, not {chart!r}")
     pts2 = ball_points(samples, center, radius, seed)
-    lift = _chart_lift(pts2, chart)
-    lift_norms = np.linalg.norm(lift, axis=1)
-    X = lift / lift_norms[:, None]
+    log_lift_norms, X = _unit_rows(_chart_lift(pts2, chart))
 
     d = f.degree
     Dn = d**n
@@ -316,7 +320,7 @@ def volume_decay(
         logdet[ok]
         - math.log(Dn)
         - 3.0 * (a_n[ok] + np.log(denom[ok]))
-        - 3.0 * np.log(lift_norms[ok])
+        - 3.0 * log_lift_norms[ok]
     )
     tgt_density = (1.0 + np.sum(np.abs(img) ** 2, axis=1)) ** -3
     vals = np.exp(2.0 * log_chart_jac) * tgt_density
@@ -330,13 +334,8 @@ def volume_decay(
 
 
 def _chart_lift(pts2, chart):
-    n = pts2.shape[0]
-    X = np.zeros((n, 3), dtype=complex)
-    keep = [i for i in range(3) if i != chart]
-    X[:, keep[0]] = pts2[:, 0]
-    X[:, keep[1]] = pts2[:, 1]
-    X[:, chart] = 1.0
-    return X
+    """(N, 3) lifts of (N, 2) chart points: a 1 inserted at position chart."""
+    return np.insert(np.asarray(pts2, dtype=complex), chart, 1.0, axis=1)
 
 
 def _orbit_log_jacobian(f: ProjMap, X: np.ndarray, n: int):
@@ -364,10 +363,8 @@ def _orbit_log_jacobian(f: ProjMap, X: np.ndarray, n: int):
             del table
             _, ld = np.linalg.slogdet(D)
             logdet[rows] = logdet[rows] + ld + 3.0 * (d - 1) * acc[rows]
-            img = f.lift(cur)
-            norms = np.linalg.norm(img, axis=1)
-            acc[rows] = d * acc[rows] + np.log(norms)
-            cur = img / norms[:, None]
+            lognorms, cur = _unit_rows(f.lift(cur))
+            acc[rows] = d * acc[rows] + lognorms
         Y[rows] = cur
     return logdet, acc, Y
 

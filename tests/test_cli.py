@@ -99,6 +99,24 @@ class TestCommands:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "0", "--n must be at least 1"),
+            ("--n", "-1", "--n must be at least 1"),
+            ("--samples", "0", "need at least 2 samples"),
+            ("--samples", "1", "need at least 2 samples"),
+            ("--radius", "0", "radius must be positive"),
+            ("--radius", "-0.1", "radius must be positive"),
+        ],
+    )
+    def test_volume_refuses_bad_arguments(self, power_path, capsys, flag, value, message):
+        args = ["volume", "--map", power_path, "--n", "2", "--samples", "50"]
+        code = run(args + [flag, value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_invariants_report(self, power_path, capsys):
         code = run(["invariants", "--map", power_path])
         out = json.loads(capsys.readouterr().out)

@@ -6,10 +6,13 @@ import weakref
 import numpy as np
 import pytest
 
+import table_reference
 from conftest import random_valid_map
 from occupancy_reference import loop_grid_occupancy
-from greenp2 import ProjPoint, lattes_map, parse_poly
+from greenp2 import CONFIGURATION_IDS, ProjPoint, configuration_map, lattes_map, parse_poly
 from greenp2.errors import FitUnstable, OnCurve
+from greenp2.maps import _unit_rows
+from greenp2.polys import monomial_table, n_monomials
 from greenp2.potentials import (
     _BLOCK,
     CLIP_FLOOR,
@@ -258,6 +261,23 @@ class TestVolumeDecay:
             prev = y
         assert np.mean(rates) == pytest.approx(math.log(2), abs=0.15 * math.log(2))
 
+    @pytest.mark.parametrize(
+        "ball, n, samples, message",
+        [
+            ((2, (0.4, 0.3), 0.1), -1, 500, "n must be non-negative"),
+            ((2, (0.4, 0.3), 0.1), 2, 1, "need at least 2 samples"),
+            ((2, (0.4, 0.3), 0.1), 2, 0, "need at least 2 samples"),
+            ((2, (0.4, 0.3), 0.0), 2, 500, "radius must be positive"),
+            ((2, (0.4, 0.3), -0.1), 2, 500, "radius must be positive"),
+            ((2, (0.4, 0.3), math.nan), 2, 500, "radius must be positive"),
+            ((5, (0.4, 0.3), 0.1), 2, 500, "chart must be 0, 1 or 2"),
+            ((-1, (0.4, 0.3), 0.1), 2, 500, "chart must be 0, 1 or 2"),
+        ],
+    )
+    def test_refuses_bad_arguments(self, power_map, ball, n, samples, message):
+        with pytest.raises(ValueError, match=message):
+            volume_decay(power_map, ball, n, samples, seed=9)
+
     def test_slower_rate_off_exceptional_set(self, lattes):
         reps = [
             volume_decay(lattes, (2, (0.35, 0.1), 0.08), n, 6000, seed=10) for n in (1, 2, 3)
@@ -351,7 +371,43 @@ class TestOrbitBlocks:
             assert rows == _equidist_rows_reference(f, phi, 4, N, 81, 1e-6)
 
 
+def _edge_points(N, seed):
+    """fs_points with exact 0 and 1 coordinates: chart rows in t, rows on z = 0, and both."""
+    X = fs_points(N, seed)
+    X[0::3, 2] = 1.0
+    X[1::3, 0] = 0.0
+    X[2::3, 1] = 0.0
+    X[2::3, 2] = 1.0
+    return X
+
+
 class TestMonomialTable:
+    @pytest.mark.parametrize("N", [1, 2, 17, 4096, 4097])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_matches_column_reference(self, d, N):
+        """Equal in value; the sign of an exact zero may differ."""
+        X = _edge_points(N, 90 + d)
+        assert np.array_equal(monomial_table(X, d), table_reference.monomial_table(X, d))
+
+    @pytest.mark.parametrize("N", [1, 17, 4096])
+    def test_layout(self, N):
+        table = monomial_table(fs_points(N, 91), 3)
+        assert table.shape == (N, n_monomials(3)) and table.dtype == np.complex128
+        assert table.flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_lift_and_green_match_reference_table(self, d, monkeypatch):
+        """Lifts and Green values built on either table agree bit for bit."""
+        import greenp2.maps
+
+        X = _edge_points(4096, 92 + d)
+        maps = [configuration_map(row, d, 1000) for row in CONFIGURATION_IDS]
+        got = [(f.lift(X), f.lift(X[5]), green_batch(f, X, tol=1e-6)) for f in maps]
+        monkeypatch.setattr(greenp2.maps, "monomial_table", table_reference.monomial_table)
+        want = [(f.lift(X), f.lift(X[5]), green_batch(f, X, tol=1e-6)) for f in maps]
+        for g, w in zip(got, want):
+            assert all(np.array_equal(u.view(np.uint64), v.view(np.uint64)) for u, v in zip(g, w))
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_log_jacobian_matches_per_partial_reference(self, d):
         f = random_valid_map(np.random.default_rng(60 + d), d)
@@ -385,6 +441,18 @@ class TestMonomialTable:
         _orbit_log_jacobian(worked_map, X, 1)
         # the partials' table is freed before the lift builds its own
         assert builds == [(1, 0), (2, 0)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_unit_rows_match_norm_and_division(d):
+    """Log norms and unit rows equal np.linalg.norm and true division bit for bit."""
+    X = fs_points(4096, 93 + d)
+    for row in CONFIGURATION_IDS:
+        img = configuration_map(row, d, 1000).lift(X)
+        lognorms, units = _unit_rows(img)
+        norms = np.linalg.norm(img, axis=1)
+        assert np.array_equal(lognorms.view(np.uint64), np.log(norms).view(np.uint64))
+        assert np.array_equal(units.view(np.uint64), (img / norms[:, None]).view(np.uint64))
 
 
 class TestGridOccupancy:
