@@ -66,6 +66,7 @@ from .potentials import (
     lelong_estimate,
     sublevel_volume,
     volume_decay,
+    volume_sweep,
 )
 from .roots import RootResult, roots_univariate
 from .series import AffineSeries2, local_multiplicity, recenter_taylor, vanishing_order

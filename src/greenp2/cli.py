@@ -12,6 +12,7 @@ otherwise completed report, 1 on errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .potentials import (
     green,
     kiselman_estimate,
     lelong_estimate,
-    volume_decay,
+    volume_sweep,
 )
 from .sampling import fs_points
 
@@ -66,7 +67,9 @@ def _point_json(p: ProjPoint):
     return [_cnum(c) for c in p.coords]
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse tree, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="greenp2",
         description="Experiments for holomorphic self-maps of the projective plane",
@@ -153,6 +156,8 @@ def _emit(args, report, csv_rows=None, csv_header=None):
 
 
 def _cmd_green(args, seed):
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     f = _load_map(args)
     pts = fs_points(args.samples, seed)
     rows = []
@@ -365,18 +370,16 @@ def _cmd_volume(args, seed):
         raise ValueError("--n must be at least 1")
     f = _load_map(args)
     chart = CHART_INDEX[args.chart]
-    rows = []
-    for n in range(1, args.n + 1):
-        rep = volume_decay(f, (chart, args.point, args.radius), n, args.samples, seed=seed)
-        rows.append(
-            {
-                "n": n,
-                "jacobian_bound": rep.jacobian_bound,
-                "jacobian_stderr": rep.jacobian_stderr,
-                "occupancy": rep.occupancy,
-                "occupancy_cells": rep.occupancy_cells,
-            }
-        )
+    rows = [
+        {
+            "n": rep.n,
+            "jacobian_bound": rep.jacobian_bound,
+            "jacobian_stderr": rep.jacobian_stderr,
+            "occupancy": rep.occupancy,
+            "occupancy_cells": rep.occupancy_cells,
+        }
+        for rep in volume_sweep(f, (chart, args.point, args.radius), args.n, args.samples, seed=seed)
+    ]
     flags = []
     if any(r["occupancy"] == 0.0 for r in rows):
         flags.append("occupancy_underflow")

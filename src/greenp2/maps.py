@@ -65,13 +65,15 @@ def _read_only(value):
     return value
 
 
-def _unit_phase(v):
+def _unit_phase(v, norm=None):
     """Unit-norm copy of the vector v with a canonical phase.
 
     The first non-negligible coordinate is made real positive; the threshold
-    is relative so solver noise cannot grab the pivot.
+    is relative so solver noise cannot grab the pivot.  norm, when given, is
+    np.linalg.norm(v), taken by the caller.
     """
-    norm = np.linalg.norm(v)
+    if norm is None:
+        norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("projective point needs a nonzero representative")
     v = v / norm
@@ -102,10 +104,20 @@ class ProjPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
+        self._set_coords(coords, None)
+
+    @classmethod
+    def _with_norm(cls, coords, norm):
+        """ProjPoint(coords) for a vector whose np.linalg.norm the caller has taken."""
+        point = cls.__new__(cls)
+        point._set_coords(coords, norm)
+        return point
+
+    def _set_coords(self, coords, norm):
         v = np.asarray(coords, dtype=complex).reshape(3)
         if not np.all(np.isfinite(v)):
             raise ValueError("projective point needs a finite representative")
-        self.coords = _unit_phase(v)
+        self.coords = _unit_phase(v, norm)
 
     def chart(self) -> int:
         return int(np.argmax(np.abs(self.coords)))
@@ -229,7 +241,7 @@ class ProjMap:
             image = self.lift(points[-1].coords)
             norm = float(np.linalg.norm(image))
             lognorms.append(d * lognorms[-1] + math.log(norm))
-            points.append(ProjPoint(image))
+            points.append(ProjPoint._with_norm(image, norm))
         return LogOrbit(points, lognorms)
 
     # -- cached structure ---------------------------------------------------

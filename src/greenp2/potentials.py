@@ -289,23 +289,53 @@ def volume_decay(
 
     The integral d^{-2n} * int |J f^n|^2 over the ball is estimated in the
     normalized study metric; the occupancy estimate bins forward images of
-    the ball in the chart of the image centroid.
+    the ball in the chart of the image centroid, on a grid of grid^4 cells.
+    For n >= 1 it equals ``volume_sweep(f, ball, n, ...)[n - 1]`` field for field.
     """
-    chart, center, radius = ball
     if n < 0:
         raise ValueError("n must be non-negative")
+    log_lift_norms, X = _ball_lift(ball, samples, seed, grid)
+    *_, state = _orbit_log_jacobian(f, X, n)
+    return _volume_report(f, ball, n, samples, seed, grid, log_lift_norms, *state)
+
+
+def volume_sweep(
+    f: ProjMap, ball, n_max: int, samples: int, seed: int = 76, grid: int = 16
+) -> list:
+    """``[volume_decay(f, ball, n, samples, seed, grid) for n in 1..n_max]``.
+
+    One ball draw, one chart lift and one walk of n_max Jacobian steps serve
+    every n, where the per-n calls walk n_max (n_max + 1) / 2 steps.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    log_lift_norms, X = _ball_lift(ball, samples, seed, grid)
+    steps = _orbit_log_jacobian(f, X, n_max)
+    next(steps)  # step 0
+    return [
+        _volume_report(f, ball, n, samples, seed, grid, log_lift_norms, *state)
+        for n, state in enumerate(steps, 1)
+    ]
+
+
+def _ball_lift(ball, samples, seed, grid):
+    """(log norms, unit rows) of the chart lifts of the ball's seeded samples."""
+    chart, center, radius = ball
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if not radius > 0:
         raise ValueError("radius must be positive")
     if chart not in (0, 1, 2):
         raise ValueError(f"chart must be 0, 1 or 2, not {chart!r}")
-    pts2 = ball_points(samples, center, radius, seed)
-    log_lift_norms, X = _unit_rows(_chart_lift(pts2, chart))
+    if not isinstance(grid, (int, np.integer)) or grid < 1:
+        raise ValueError(f"grid must be a positive integer, not {grid!r}")
+    return _unit_rows(_chart_lift(ball_points(samples, center, radius, seed), chart))
 
-    d = f.degree
-    Dn = d**n
-    logdet, a_n, Y = _orbit_log_jacobian(f, X, n)
+
+def _volume_report(f, ball, n, samples, seed, grid, log_lift_norms, logdet, a_n, Y):
+    """The report of volume_decay at step n, from the Jacobian walk's state there."""
+    radius = ball[2]
+    Dn = f.degree**n
     img_chart = int(np.argmax(np.mean(np.abs(Y), axis=0)))
     denom = np.abs(Y[:, img_chart])
     ok = denom > 1e-13
@@ -339,34 +369,42 @@ def _chart_lift(pts2, chart):
 
 
 def _orbit_log_jacobian(f: ProjMap, X: np.ndarray, n: int):
-    """log |J(F^n)| on unit representatives, via chained differentials.
+    """Generator of log |J(F^k)| on unit representatives, via chained differentials.
 
     Differentials are evaluated at renormalized orbit points; homogeneity
-    folds the accumulated scales back in as 3(d-1) * lognorm terms.  Returns
-    (logdet, lognorms, Y) with Y the unit representatives of the n-th images.
-    Blocks of points run through all n steps in turn, as in _orbit_arrays.
+    folds the accumulated scales back in as 3(d-1) * lognorm terms.  Yields
+    (logdet, lognorms, Y) at step k = 0..n, with Y the unit representatives
+    of the k-th images; the three arrays are updated in place by the next
+    step.  Each step walks every block of points in turn, and each block runs
+    the operations of one pass over all points (see _blocks), so the values
+    at step k do not depend on n.
     """
-    d = f.degree
     parts = [[f.components[i].partial(j) for j in range(3)] for i in range(3)]
     acc = np.zeros(X.shape[0])  # log-norm accumulator a_k
     logdet = np.zeros(X.shape[0])
     Y = np.array(X, dtype=complex)
-    for rows in _blocks(X.shape[0]):
-        cur = Y[rows]
-        for _ in range(n):
-            D = np.empty((cur.shape[0], 3, 3), dtype=complex)
-            table = monomial_table(cur, d - 1)
-            for i in range(3):
-                for j in range(3):
-                    D[:, i, j] = table @ parts[i][j].coeffs
-            # freed before f.lift builds its own table, so the two never coexist
-            del table
-            _, ld = np.linalg.slogdet(D)
-            logdet[rows] = logdet[rows] + ld + 3.0 * (d - 1) * acc[rows]
-            lognorms, cur = _unit_rows(f.lift(cur))
-            acc[rows] = d * acc[rows] + lognorms
-        Y[rows] = cur
-    return logdet, acc, Y
+    yield logdet, acc, Y
+    for _ in range(n):
+        for rows in _blocks(X.shape[0]):
+            _jacobian_step(f, parts, rows, logdet, acc, Y)
+        yield logdet, acc, Y
+
+
+def _jacobian_step(f, parts, rows, logdet, acc, Y):
+    """One orbit step of the rows of Y, with its log |det| and log norm, in place."""
+    d = f.degree
+    cur = Y[rows]
+    D = np.empty((cur.shape[0], 3, 3), dtype=complex)
+    table = monomial_table(cur, d - 1)
+    for i in range(3):
+        for j in range(3):
+            D[:, i, j] = table @ parts[i][j].coeffs
+    # freed before f.lift builds its own table, so the two never coexist
+    del table
+    _, ld = np.linalg.slogdet(D)
+    logdet[rows] = logdet[rows] + ld + 3.0 * (d - 1) * acc[rows]
+    lognorms, Y[rows] = _unit_rows(f.lift(cur))
+    acc[rows] = d * acc[rows] + lognorms
 
 
 def _grid_occupancy(img: np.ndarray, grid: int):
@@ -384,8 +422,9 @@ def _grid_occupancy(img: np.ndarray, grid: int):
     _, first = np.unique(idx @ grid ** np.arange(4), return_index=True)
     first.sort()
     sq = np.sum(np.abs(img[first]) ** 2, axis=1)
-    # a scalar power per cell: the array power rounds differently in the last bit
-    weights = [float((1.0 + s) ** -3) for s in sq]
+    # a scalar power per cell, C pow on Python floats: the array power rounds
+    # differently in the last bit
+    weights = [(1.0 + s) ** -3 for s in sq.tolist()]
     cell_leb = float(np.prod(h))
     vol = (2.0 / math.pi**2) * cell_leb * sum(weights)
     return vol, len(weights)

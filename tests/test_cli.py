@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from greenp2 import ProjMap, configuration_map, dump_map_json, map_from_dict, read_map
+from greenp2 import ProjMap, configuration_map, dump_map_json, map_from_dict, read_map, volume_decay
 from greenp2.cli import run
 from greenp2.errors import ParseError
 
@@ -116,6 +116,41 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_green_refuses_bad_samples(self, power_path, capsys, value):
+        code = run(["green", "--map", power_path, "--samples", value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --samples must be at least 1\n"
+
+    def test_volume_rows_equal_per_n_volume_decay(self, power_path, capsys):
+        code = run(["volume", "--map", power_path, "--n", "3", "--samples", "500",
+                    "--chart", "z", "--point", "0.2,0.1j", "--seed", "4"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        f = read_map(power_path)
+        want = [volume_decay(f, (0, (0.2, 0.1j), 0.1), n, 500, seed=4) for n in (1, 2, 3)]
+        assert out["rows"] == [
+            {
+                "n": rep.n,
+                "jacobian_bound": rep.jacobian_bound,
+                "jacobian_stderr": rep.jacobian_stderr,
+                "occupancy": rep.occupancy,
+                "occupancy_cells": rep.occupancy_cells,
+            }
+            for rep in want
+        ]
+
+    def test_in_process_runs_match_separate_processes(self, power_path, capsys):
+        """The parser is built once per process; a second command must not see the first's."""
+        a = ["volume", "--map", power_path, "--n", "2", "--samples", "300", "--seed", "3"]
+        b = ["green", "--map", power_path, "--samples", "2", "--tol", "1e-3"]
+        outs = []
+        for argv in (a, b, a):
+            assert run(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs == [run_cli(a).stdout, run_cli(b).stdout, run_cli(a).stdout]
 
     def test_invariants_report(self, power_path, capsys):
         code = run(["invariants", "--map", power_path])

@@ -30,6 +30,7 @@ from greenp2.potentials import (
     lelong_estimate,
     sublevel_volume,
     volume_decay,
+    volume_sweep,
 )
 from greenp2.sampling import ball_points, fs_points
 
@@ -278,6 +279,42 @@ class TestVolumeDecay:
         with pytest.raises(ValueError, match=message):
             volume_decay(power_map, ball, n, samples, seed=9)
 
+    @pytest.mark.parametrize(
+        "ball, n_max, samples, message",
+        [
+            ((2, (0.4, 0.3), 0.1), 0, 500, "n_max must be at least 1"),
+            ((2, (0.4, 0.3), 0.1), -1, 500, "n_max must be at least 1"),
+            ((2, (0.4, 0.3), 0.1), 2, 1, "need at least 2 samples"),
+            ((2, (0.4, 0.3), 0.1), 2, 0, "need at least 2 samples"),
+            ((2, (0.4, 0.3), 0.0), 2, 500, "radius must be positive"),
+            ((2, (0.4, 0.3), -0.1), 2, 500, "radius must be positive"),
+            ((2, (0.4, 0.3), math.nan), 2, 500, "radius must be positive"),
+            ((5, (0.4, 0.3), 0.1), 2, 500, "chart must be 0, 1 or 2"),
+            ((-1, (0.4, 0.3), 0.1), 2, 500, "chart must be 0, 1 or 2"),
+        ],
+    )
+    def test_sweep_refuses_bad_arguments(self, power_map, ball, n_max, samples, message):
+        with pytest.raises(ValueError, match=message):
+            volume_sweep(power_map, ball, n_max, samples, seed=9)
+
+    @pytest.mark.parametrize("grid", [0, -3, 2.5, 16.0, None])
+    def test_refuses_bad_grid(self, power_map, grid):
+        """A grid of no cells gave an infinite occupancy, a negative one a single cell."""
+        ball = (2, (0.4, 0.3), 0.1)
+        with pytest.raises(ValueError, match="grid must be a positive integer"):
+            volume_decay(power_map, ball, 2, 500, seed=9, grid=grid)
+        with pytest.raises(ValueError, match="grid must be a positive integer"):
+            volume_sweep(power_map, ball, 2, 500, seed=9, grid=grid)
+
+    @pytest.mark.parametrize("row", CONFIGURATION_IDS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sweep_equals_per_n_reports(self, d, row):
+        f = configuration_map(row, d, 1000)
+        for chart in (0, 1, 2):
+            ball = (chart, (0.4, 0.3), 0.1)
+            sweep = volume_sweep(f, ball, 4, 800, seed=11, grid=8)
+            assert sweep == [volume_decay(f, ball, n, 800, seed=11, grid=8) for n in (1, 2, 3, 4)]
+
     def test_slower_rate_off_exceptional_set(self, lattes):
         reps = [
             volume_decay(lattes, (2, (0.35, 0.1), 0.08), n, 6000, seed=10) for n in (1, 2, 3)
@@ -362,7 +399,7 @@ class TestOrbitBlocks:
         got_a, got_phi = _orbit_arrays(f, X, n, phi, n)
         assert np.array_equal(got_a, np.array(a))
         assert np.array_equal(got_phi, np.array([np.abs(phi.eval_batch(x)) for x in xs]))
-        got = _orbit_log_jacobian(f, X, 3)
+        *_, got = _orbit_log_jacobian(f, X, 3)
         want = _log_jacobian_reference(f, X, 3)
         assert all(np.array_equal(u, v) for u, v in zip(got, want))
         if N >= 2:
@@ -413,9 +450,10 @@ class TestMonomialTable:
         f = random_valid_map(np.random.default_rng(60 + d), d)
         lift = _chart_lift(ball_points(500, (0.2, -0.1j), 0.3, 61), 2)
         X = lift / np.linalg.norm(lift, axis=1)[:, None]
-        got = _orbit_log_jacobian(f, X, 3)
-        want = _log_jacobian_reference(f, X, 3)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # every step's state, not only the last: the values at step k do not depend on n
+        for k, got in enumerate(_orbit_log_jacobian(f, X, 3)):
+            want = _log_jacobian_reference(f, X, k)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_one_table_per_lift_and_two_per_jacobian_step(self, monkeypatch, worked_map):
         """Each build records its degree and how many earlier tables are still alive."""
@@ -438,9 +476,18 @@ class TestMonomialTable:
         worked_map.lift(X)
         assert builds == [(2, 0)]
         builds.clear()
-        _orbit_log_jacobian(worked_map, X, 1)
+        for _ in _orbit_log_jacobian(worked_map, X, 1):
+            pass
         # the partials' table is freed before the lift builds its own
         assert builds == [(1, 0), (2, 0)]
+        builds.clear()
+        volume_sweep(worked_map, (2, (0.4, 0.3), 0.1), 4, 50)
+        # one walk of 4 steps, where per-n volume_decay calls walk 1 + 2 + 3 + 4
+        assert builds == [(1, 0), (2, 0)] * 4
+        builds.clear()
+        for n in (1, 2, 3, 4):
+            volume_decay(worked_map, (2, (0.4, 0.3), 0.1), n, 50)
+        assert builds == [(1, 0), (2, 0)] * 10
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -464,7 +511,7 @@ class TestGridOccupancy:
             z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
             clouds.append(scale * z / rng.standard_normal((n, 1)))  # heavy-tailed norms
         lift = _chart_lift(ball_points(6000, (0.35, 0.1), 0.08, 64), 2)
-        *_, Y = _orbit_log_jacobian(lattes_map(2), lift / np.linalg.norm(lift, axis=1)[:, None], 2)
+        *_, (_, _, Y) = _orbit_log_jacobian(lattes_map(2), lift / np.linalg.norm(lift, axis=1)[:, None], 2)
         clouds.append(Y[:, :2] / Y[:, 2:])
         for img in clouds:
             assert _grid_occupancy(img, grid) == loop_grid_occupancy(img, grid)
