@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConstructionDegenerate, DegenerateMap, GenerationFailed
 from .maps import ProjMap
-from .polys import HomogPoly3, monomial_exponents, n_monomials
+from .polys import HomogPoly3, monomial_exponents, n_monomials, sylvester_matrix
 
 CONFIGURATION_IDS = (
     "1-0",
@@ -201,16 +201,8 @@ def _sylvester_dets(A, B, s_values):
     Rows of A and B index powers of s and columns powers of v; the formal
     v-degrees are the column counts minus one.
     """
-    na = A.shape[1] - 1
-    nb = B.shape[1] - 1
     s = np.asarray(s_values)
     V = np.vander(s, max(A.shape[0], B.shape[0]), increasing=True)
     Av = V[:, : A.shape[0]] @ A
     Bv = V[:, : B.shape[0]] @ B
-    size = na + nb
-    M = np.zeros((len(s), size, size), dtype=complex)
-    for r in range(nb):
-        M[:, r, r : r + na + 1] = Av[:, ::-1]
-    for r in range(na):
-        M[:, nb + r, r : r + nb + 1] = Bv[:, ::-1]
-    return np.linalg.det(M)
+    return np.linalg.det(sylvester_matrix(Av, Bv))

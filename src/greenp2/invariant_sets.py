@@ -34,8 +34,6 @@ from .polys import HomogPoly3, monomial_exponents
 from .roots import roots_batch, strip_trailing
 
 LINE_TOL = 1e-7
-#: largest |J| at a unit point, relative to J's largest coefficient, that may be critical
-_CRITICAL_TOL = 1e-6
 #: two fixed lines, spanned by points off the coordinate lines, whose coefficients
 #: have near-equal moduli: far from the vertices, where structured maps put pencils
 _PROBE_LINES = (
@@ -64,7 +62,12 @@ class InvariantLine:
         return [ProjPoint(s * b1 + u * b2) for s, u in pars]
 
     def contains(self, point: ProjPoint, tol=1e-6) -> bool:
-        return abs(np.dot(self.form.coeffs, point.coords)) <= tol
+        return _on_line(self.form.coeffs, point, tol)
+
+
+def _on_line(l, point: ProjPoint, tol=1e-6) -> bool:
+    """Whether the point lies on the line {l = 0}, for unit coefficients l."""
+    return abs(np.dot(l, point.coords)) <= tol
 
 
 def _line_basis(l):
@@ -221,21 +224,15 @@ def _invariant_orbits(f: ProjMap):
     the periodic lines.  A totally invariant cycle on a periodic line has
     each point on one, and each is its image's whole fibre there.  Off those
     lines the cycle has one point, since no configuration of f^k has two
-    exceptional points off its lines, so it is a fixed point.
-
-    F is a local biholomorphism where the Jacobian J does not vanish, so a
-    candidate takes a local degree step only where |J| at its unit point is
-    at most _CRITICAL_TOL times J's largest coefficient; the others have
-    local degree 1.
+    exceptional points off its lines, so it is a fixed point.  The local
+    degree is 1 at once where the Jacobian does not vanish (``local_degree_step``).
     """
-    d, J = f.degree, f.lift_jacobian
+    d = f.degree
     candidates = [p for p, _ in f.fixed_points()]
     for p in _wronskian_points(f, _periodic_pairs(_line_images(f))):
         if all(p.dist(q) > 1e-5 for q in candidates):
             candidates.append(p)
-    values = J.eval_batch(np.array([p.coords for p in candidates]).reshape(-1, 3))
-    critical = np.abs(values) <= _CRITICAL_TOL * J.coeff_norm
-    kept = [p for p, c in zip(candidates, critical) if c and local_degree_step(f, p) == d**2]
+    kept = [p for p in candidates if local_degree_step(f, p) == d**2]
     orbits = []
     for p in kept:
         if any(p.dist(q) <= 1e-5 for orbit in orbits for q in orbit):

@@ -14,17 +14,42 @@ Chart Jacobians are read off the lift: in any source chart the chart
 Jacobian equals the dehomogenized lift Jacobian divided by d * F_c^3 for the
 target chart coordinate F_c, and the divisor is a local unit, so vanishing
 orders are chart independent.
+
+Along an orbit p = q_0, ..., q_(N-1) each term is first decided by exact
+identities (``_Orbit``), and truncated series are built only for the terms
+these leave open; only those terms set the truncation.
+
+* **Regular points.**  Where |J(q)| exceeds _CRITICAL_TOL times the largest
+  coefficient of the lift Jacobian J, f is a local biholomorphism at q: its
+  contraction order and local degree are 1 and ord_q(J) = 0.
+* **Tangent cones.**  Elsewhere the germs of f - f(q) at q are read.  The
+  one-step contraction order is their smaller order.  When both have one
+  order c and the Sylvester matrix of their degree-c parts, each scaled to
+  unit norm, has sigma_min >= _CONE_TOL sigma_max, the degree-c part of f at
+  q is a finite homogeneous map (its only zero is 0).  A finite homogeneous
+  map is onto and lowest parts of finite maps compose, so e(f, q) = c^2, the
+  contraction order of f^k at q_j is c_j ... c_(j+k-1), and
+  ord_p(J o f^j) = c_0 ... c_(j-1) ord_(q_j)(J), with ord_(q_j)(J) read from
+  the Taylor expansion of J at q_j.
+* **Periodic lines.**  A Jacobian term whose cones are not all finite is read
+  on the linear factors l_i of J (multiplicity m_i) through q_j, when
+  ord_(q_j)(J) = sum m_i: J is then a unit times the product of the l_i^m_i
+  near q_j, so ord_p(J o f^j) = sum m_i ord_p(l_i o F^j).  Along the
+  pullback fits l_t o F = lambda l_s^d, ord_p(l_t o F^j) is
+  d ord_p(l_s o F^(j-1)) and ord_p(l) is 1 or 0.  A line on the way with no
+  single source s leaves the term open.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OrderExceedsTruncation
 from .maps import ProjMap, ProjPoint
-from .polys import jacobian_det
+from .polys import jacobian_det, sylvester_matrix
 from .series import (
     AffineSeries2,
     compose_poly_series,
@@ -33,6 +58,12 @@ from .series import (
     local_multiplicity,
     vanishing_order,
 )
+
+#: largest |J| at a unit point, relative to J's largest coefficient, that may be critical
+_CRITICAL_TOL = 1e-6
+#: least ratio of the extreme singular values of the Sylvester matrix of a finite tangent cone
+_CONE_TOL = 1e-6
+
 
 def _trunc_schedule(d: int, n: int):
     trunc = max(2 * d, 4)
@@ -115,32 +146,47 @@ def _jacobian_term(f: ProjMap, pair, chart: int) -> int:
     return _series_order(comp, float(np.max(np.abs(shifted))))
 
 
+def _series_reads(f: ProjMap, p: ProjPoint, ks, terms, n: int, what: str, chart_override=None):
+    """Contraction orders of f^k at p for k in ks, and ord_p(Jf o f^i) for i in
+    terms, from one orbit series at truncations that grow until all are read."""
+
+    def attempt(trunc):
+        _, charts, series = orbit_chart_series(f, p, max([*ks, *terms]), trunc, chart_override)
+        return (
+            [_pair_contraction(series[k]) for k in ks],
+            [_jacobian_term(f, series[i], charts[i]) for i in terms],
+        )
+
+    return _escalate(f, p, n, what, attempt)
+
+
 def jacobian_multiplicity(f: ProjMap, p: ProjPoint, n: int, chart_override=None) -> int:
     """Vanishing order of the Jacobian of the n-th iterate at p."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def attempt(trunc):
-        _, charts, series = orbit_chart_series(f, p, n - 1, trunc, chart_override)
-        return sum(_jacobian_term(f, series[j], charts[j]) for j in range(n))
-
-    return _escalate(f, p, n, "jacobian order", attempt)
+    orbit = _Orbit(f, f.orbit(p, n - 1))
+    terms = [orbit.jacobian_term(j) for j in range(n)]
+    open_terms = [j for j, t in enumerate(terms) if t is None]
+    if open_terms:
+        read = _series_reads(f, p, [], open_terms, n, "jacobian order", chart_override)[1]
+        for j, t in zip(open_terms, read):
+            terms[j] = t
+    return sum(terms)
 
 
 def contraction_order(f: ProjMap, p: ProjPoint, n: int, chart_override=None) -> int:
     """Lowest Taylor degree of the n-th iterate at p (min over components).
 
-    The truncation grows only until one component's order is decided, since
-    the other's order then exceeds it or is decided too (`_pair_contraction`).
+    Where the tangent cones along the orbit leave it open, the truncation of
+    the series grows only until one component's order is decided, since the
+    other's order then exceeds it or is decided too (`_pair_contraction`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def attempt(trunc):
-        _, _, series = orbit_chart_series(f, p, n, trunc, chart_override)
-        return _pair_contraction(series[n])
-
-    return _escalate(f, p, n, "contraction order", attempt)
+    c = _Orbit(f, f.orbit(p, n - 1)).contraction(0, n)
+    if c is None:
+        c = _series_reads(f, p, [n], [], n, "contraction order", chart_override)[0][0]
+    return c
 
 
 def _pair_contraction(pair) -> int:
@@ -170,16 +216,122 @@ def local_degree(f: ProjMap, p: ProjPoint, n: int) -> int:
     """Local topological degree of the n-th iterate at p (product along orbit)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    points = f.orbit(p, n - 1)
-    out = 1
-    for q in points:
-        out *= local_degree_step(f, q)
-    return out
+    orbit = _Orbit(f, f.orbit(p, n - 1))
+    return math.prod(orbit.degree(j) for j in range(n))
 
 
 def local_degree_step(f: ProjMap, q: ProjPoint) -> int:
-    """Degree of the germ of f at q, the local intersection number of f - f(q)."""
-    return local_degree_direct(f, q, 1)
+    """Degree of the germ of f at q, the local intersection number of f - f(q):
+    1 at a regular point, c^2 at a finite tangent cone of degree c, and the
+    Hilbert-Samuel count of ``local_degree_direct`` elsewhere."""
+    return _Orbit(f, [q]).degree(0)
+
+
+# -- exact reads along an orbit ----------------------------------------------------
+
+
+class _Orbit:
+    """The exact reads of the module docstring along the points q_0, ..., q_(N-1)
+    of an orbit of p; None marks what they leave open.
+
+    One evaluation of J at every point sorts out the regular ones.  At each
+    other point the germs, their orders and the cone are read when first
+    asked for, and kept.
+    """
+
+    def __init__(self, f: ProjMap, points):
+        self.f, self.points = f, points
+        J = f.lift_jacobian
+        values = J.eval_batch(np.array([q.coords for q in points]))
+        self.regular = np.abs(values) > _CRITICAL_TOL * J.coeff_norm
+        self._reads = {}
+
+    def _read(self, j):
+        """(germs, their orders, cone degree) at the critical point q_j."""
+        if j not in self._reads:
+            germs = _iterate_germs(self.f, self.points[j], 1)
+            orders = [_germ_order(g) for g in germs]
+            self._reads[j] = (germs, orders, _cone_degree(germs, orders))
+        return self._reads[j]
+
+    def cone_product(self, j, k):
+        """c_j ... c_(j+k-1), with c = 1 at regular points, or None if one of the
+        cones is not finite."""
+        out = 1
+        for i in range(j, j + k):
+            c = 1 if self.regular[i] else self._read(i)[2]
+            if c is None:
+                return None
+            out *= c
+        return out
+
+    def contraction(self, j, k):
+        """Contraction order of f^k at q_j, or None."""
+        if k == 1 and not self.regular[j]:
+            orders = [o for o in self._read(j)[1] if o is not None]
+            return min(orders) if orders else None
+        return self.cone_product(j, k)
+
+    def degree(self, j):
+        """e(f, q_j)."""
+        if self.regular[j]:
+            return 1
+        germs, _, c = self._read(j)
+        return c * c if c is not None else local_multiplicity(*germs)
+
+    def jacobian_term(self, j):
+        """ord_p(Jf o f^j), or None."""
+        if self.regular[j]:
+            return 0
+        f, q = self.f, self.points[j]
+        chart = q.chart()
+        m = _poly_taylor_order(f.lift_jacobian, chart, q.chart_coords(chart), 3 * (f.degree - 1) + 1)
+        lead = 1 if m == 0 else self.cone_product(0, j)
+        return m * lead if lead is not None else self._line_term(j, m)
+
+    def _line_term(self, j, m):
+        """sum m_i ord_p(l_i o F^j) over the factor lines through q_j, when their
+        multiplicities m_i add up to m = ord_(q_j)(J)."""
+        from .invariant_sets import _line_images, _on_line  # invariant_sets imports this module
+
+        images = _line_images(self.f)
+
+        def order(t, k):
+            """ord_p(l_t o F^k), following the fit l_t o F = lambda l_s^d back to p."""
+            if not _on_line(images[t][0].coeffs, self.points[k]):
+                return 0
+            if k == 0:
+                return 1
+            sources = [s for s, image in enumerate(images) if image[2] == t]
+            below = order(sources[0], k - 1) if len(sources) == 1 else None
+            return None if below is None else self.f.degree * below
+
+        through = [i for i, image in enumerate(images) if _on_line(image[0].coeffs, self.points[j])]
+        if sum(images[i][1] for i in through) != m:
+            return None
+        orders = [order(i, j) for i in through]
+        return None if None in orders else sum(images[i][1] * o for i, o in zip(through, orders))
+
+
+def _germ_order(germ):
+    """The germ's order by the significance rule of ``_poly_taylor_order``, None
+    if no coefficient is significant."""
+    try:
+        return _significant_order(germ)
+    except OrderExceedsTruncation:
+        return None
+
+
+def _cone_degree(germs, orders):
+    """c when both germs have order c and their degree-c parts share no root on
+    the projective line, else None."""
+    c = orders[0]
+    if c is None or orders[1] != c:
+        return None
+    i = np.arange(c + 1)
+    parts = [g.coeffs[c - i, i] for g in germs]  # u^(c - i) v^i, read at u = 1
+    sv = np.linalg.svd(sylvester_matrix(*(a / np.linalg.norm(a) for a in parts)), compute_uv=False)
+    return c if sv[-1] >= _CONE_TOL * sv[0] else None
 
 
 # -- whole-report driver ---------------------------------------------------------
@@ -208,31 +360,22 @@ def orbit_report(f: ProjMap, p: ProjPoint, horizon: int) -> MultiplicityReport:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     N = horizon
-    points = f.orbit(p, N - 1)
+    orbit = _Orbit(f, f.orbit(p, N - 1))
+    jac_terms = [orbit.jacobian_term(j) for j in range(N)]
+    contraction_table = {
+        (j, k): orbit.contraction(j, k) for j in range(N) for k in range(1, N - j + 1)
+    }
+    for j, q in enumerate(orbit.points):
+        ks = [k for k in range(1, N - j + 1) if contraction_table[(j, k)] is None]
+        terms = [i for i, t in enumerate(jac_terms) if t is None] if j == 0 else []
+        if not ks and not terms:
+            continue
+        orders, read = _series_reads(f, q, ks, terms, N - j, f"series at orbit point {j}")
+        contraction_table.update(((j, k), c) for k, c in zip(ks, orders))
+        for i, t in zip(terms, read):
+            jac_terms[i] = t
 
-    jac_terms = []
-    contraction_table = {}
-    for j, q in enumerate(points):
-        last = None
-        for trunc in _trunc_schedule(f.degree, N - j):
-            try:
-                _, charts, series = orbit_chart_series(f, q, N - j, trunc)
-                if j == 0:
-                    jac_terms = [
-                        _jacobian_term(f, series[i], charts[i]) for i in range(N)
-                    ]
-                for k in range(1, N - j + 1):
-                    contraction_table[(j, k)] = _pair_contraction(series[k])
-                last = None
-                break
-            except OrderExceedsTruncation as exc:
-                last = exc
-        if last is not None:
-            raise OrderExceedsTruncation(
-                f"series at orbit point {j} exceed truncation cap: {last}"
-            )
-
-    degree_steps = [local_degree_step(f, q) for q in points]
+    degree_steps = [orbit.degree(j) for j in range(N)]
 
     jacobian_orders = [int(v) for v in np.cumsum(jac_terms)]
     local_degrees = [int(v) for v in np.cumprod(degree_steps)]
@@ -311,9 +454,12 @@ def inequality_report(report: MultiplicityReport, d: int) -> dict:
 # -- direct routes on composed lifts (independent of the orbit machinery) --------
 
 
-def _poly_taylor_order(poly, chart, center, trunc) -> int:
-    series = recenter_taylor(poly, chart, center, trunc)
+def _significant_order(series) -> int:
     return vanishing_order(series, abs_floor=1e-11 * max(series.max_abs(), 1e-300))
+
+
+def _poly_taylor_order(poly, chart, center, trunc) -> int:
+    return _significant_order(recenter_taylor(poly, chart, center, trunc))
 
 
 def jacobian_multiplicity_direct(f: ProjMap, p: ProjPoint, n: int) -> int:
@@ -355,13 +501,17 @@ def contraction_order_direct(f: ProjMap, p: ProjPoint, n: int) -> int:
 
 def local_degree_direct(f: ProjMap, p: ProjPoint, n: int) -> int:
     """Local degree of the n-th iterate as a local intersection number at p."""
-    nums = iterate_numerators(f, p, n)
+    return local_multiplicity(*_iterate_germs(f, p, n))
+
+
+def _iterate_germs(f: ProjMap, p: ProjPoint, n: int):
+    """The germs at p of the n-th iterate minus its value: ``iterate_numerators``
+    expanded at p, exact at truncation d^n, with the constant term zeroed."""
     chart = p.chart()
     center = p.chart_coords(chart)
-    trunc = f.degree**n
     germs = []
-    for h in nums:
-        s = recenter_taylor(h, chart, center, trunc)
+    for h in iterate_numerators(f, p, n):
+        s = recenter_taylor(h, chart, center, f.degree**n)
         s.coeffs[0, 0] = 0.0  # exact zero at the base point
         germs.append(s)
-    return local_multiplicity(germs[0], germs[1])
+    return germs

@@ -339,6 +339,26 @@ def jacobian_det(components) -> HomogPoly3:
     )
 
 
+def sylvester_matrix(a, b):
+    """Sylvester matrices of the polynomials with coefficient rows a and b.
+
+    a[..., i] and b[..., i] are the coefficients of v^i, batched over equal
+    leading axes, and the formal degrees are the row lengths minus one.  The
+    matrix is singular exactly when the two share a root, or both lose their
+    formal degree; for two binary forms read at u = 1, when they share a root
+    on the projective line.
+    """
+    na = a.shape[-1] - 1
+    nb = b.shape[-1] - 1
+    size = na + nb
+    M = np.zeros(a.shape[:-1] + (size, size), dtype=complex)
+    for r in range(nb):
+        M[..., r, r : r + na + 1] = a[..., ::-1]
+    for r in range(na):
+        M[..., nb + r, r : r + nb + 1] = b[..., ::-1]
+    return M
+
+
 def compose_map(outer, inner):
     """Composition (outer o inner) of two triples of homogeneous forms."""
     return tuple(p.compose(tuple(inner)) for p in outer)

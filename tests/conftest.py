@@ -64,6 +64,16 @@ def conjugate(f, A):
     return ProjMap(comps, f.nondegeneracy_residual)
 
 
+def conjugated_row(row, d, s, unitary=False):
+    """configuration_map(row, d, 1000) moved by A = N + iN' from default_rng(100 + s),
+    or by the unitary factor of A; returns the moved map and the matrix."""
+    rng = np.random.default_rng(100 + s)
+    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    if unitary:
+        A = np.linalg.qr(A)[0]
+    return conjugate(configuration_map(row, d, 1000), A), A
+
+
 def structure_maps():
     """The maps of the structure benchmark: each row at d = 2 and 3 (seed 1000),
     conjugated by one diagonal unitary matrix diag(e^ia, e^ib, 1) drawn in turn

@@ -6,7 +6,7 @@ import pytest
 import greenp2.invariant_sets
 import greenp2.maps
 import greenp2.roots
-from conftest import cold, conjugate, make_map, random_valid_map, structure_maps
+from conftest import cold, conjugate, conjugated_row, make_map, random_valid_map, structure_maps
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, lattes_map, parse_poly
 from greenp2.errors import ComponentInvalid
 from greenp2.invariant_sets import (
@@ -242,19 +242,30 @@ class TestInvariantPoints:
     @pytest.mark.parametrize("row, d", [("0-1", 2), ("1-0", 2), ("1-2", 3)])
     def test_only_critical_candidates_take_a_degree_step(self, monkeypatch, row, d):
         """A candidate where J does not vanish has local degree 1 and takes no
-        step; stepping every candidate finds the same orbits, bit for bit."""
+        Hilbert-Samuel count: local_degree_step decides it by one evaluation of J.
+        With that test off, its tangent cone decides it instead, and the count
+        runs at the same candidates and finds the same orbits, bit for bit."""
         f = row_map(row, d)
         J = f.lift_jacobian
         calls = TestPerMapMemo.counters(monkeypatch)
+        counted, count = [], greenp2.multiplicities.local_multiplicity
+
+        def counted_count(g1, g2):
+            counted.append(calls["steps"][-1].coords.tobytes())
+            return count(g1, g2)
+
+        monkeypatch.setattr(greenp2.multiplicities, "local_multiplicity", counted_count)
         orbits = invariant_orbits(cold(f))
-        stepped = calls["steps"][:]
-        assert stepped and all(abs(J(q.coords)) <= 1e-6 * J.coeff_norm for q in stepped)
-        monkeypatch.setattr(greenp2.invariant_sets, "_CRITICAL_TOL", np.inf)
-        calls["steps"].clear()
+        regular = [q for q in calls["steps"] if abs(J(q.coords)) > 1e-6 * J.coeff_norm]
+        assert regular and len(regular) < len(calls["steps"])
+        assert not {q.coords.tobytes() for q in regular} & set(counted)
+        assert all(local_degree_step(f, q) == 1 for q in regular)
+        first = counted[:]
+        monkeypatch.setattr(greenp2.multiplicities, "_CRITICAL_TOL", np.inf)
+        counted.clear()
         every = invariant_orbits(cold(f))
-        skipped = [q for q in calls["steps"] if abs(J(q.coords)) > 1e-6 * J.coeff_norm]
-        assert len(calls["steps"]) == len(stepped) + len(skipped) and skipped
-        assert all(local_degree_step(f, q) == 1 for q in skipped)
+        assert counted == first
+        assert all(local_degree_step(f, q) == 1 for q in regular)
         assert [[p.coords.tobytes() for p in o] for o in every] == [[p.coords.tobytes() for p in o] for o in orbits]
 
 
@@ -447,6 +458,17 @@ class TestClassify:
         assert row.label == "[P(z,t):w^d+tQ:t^d]"
         assert sorted(len(ix) for ix in row.incidence) == [1, 1]
 
+    @pytest.mark.parametrize("row, d, s", [
+        ("0-1", 4, 2), ("0-1", 4, 4), ("0-1", 5, 0), ("0-1", 5, 2), ("0-1", 5, 3), ("0-1", 5, 4), ("1-1-free", 5, 0),
+    ])
+    def test_gaussian_conjugate_keeps_its_row(self, row, d, s):
+        """The row moved by A = N + iN' from default_rng(100 + s).  Its homogeneous
+        point has contraction order d, read from the tangent cone of f there:
+        the orbit series read 3 from rounding noise, which classified these as
+        0-0, and the 1-1-free one as 1-0."""
+        g, _ = conjugated_row(row, d, s)
+        assert classify(exceptional_sets(g)).row_id == row
+
 
 class TestConjugacyCheck:
     @pytest.mark.parametrize(
@@ -586,7 +608,7 @@ class TestPerMapMemo:
     @pytest.mark.parametrize("row, d", [("worked", 2), ("2-3", 2), ("1-2", 3)])
     def test_invariants_sequence_runs_each_solve_once(self, monkeypatch, worked_map, row, d):
         """The CLI ``invariants`` calls: one fixed-point solve, one factor search and
-        one local degree step per critical candidate; a cold copy computes them again."""
+        one local degree step per candidate; a cold copy computes them again."""
         f = cold(worked_map) if row == "worked" else row_map(row, d)
         calls = self.counters(monkeypatch)
         detect_linear_critical_components(cold(f))

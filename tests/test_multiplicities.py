@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import conjugate, online_fixed_point, random_valid_map, sample_critical_points
-from greenp2 import ProjMap, ProjPoint, multiplicities, parse_poly
+from conftest import (
+    conjugate,
+    conjugated_row,
+    make_map,
+    online_fixed_point,
+    random_valid_map,
+    sample_critical_points,
+)
+from exact_reference import jacobian_orders
+from greenp2 import ProjMap, ProjPoint, configuration_map, multiplicities, parse_poly
 from greenp2.errors import IllConditioned, OrderExceedsTruncation
 from greenp2.multiplicities import (
     _pair_contraction,
@@ -313,3 +321,81 @@ class TestHilbertSamuelCount:
         assert [local_degree_step(f, p) for f, p in cases] == [
             ladder_local_degree(f, p) for f, p in cases
         ]
+
+
+class TestConjugatedOrbits:
+    """Orders where the orbit series of a moved map read rounding noise as terms."""
+
+    @pytest.mark.parametrize("d, unitary", [(3, False), (3, True), (4, False)])
+    def test_online_jacobian_orders_meet_the_floor(self, d, unitary):
+        """The 1-0 row has d + 1 fixed points on its invariant line, {A[2] x = 0}
+        after the move, where J is t^(d - 1) times a unit, so ord_p(J(f^2)) is
+        (d - 1)(1 + d) = d^2 - 1.  The series read [2, 5] at d = 3, with either
+        A, and [3, 6] at d = 4."""
+        g, A = conjugated_row("1-0", d, 0, unitary)
+        line = A[2] / np.linalg.norm(A[2])
+        online = [p for p, _ in g.fixed_points() if abs(line @ p.coords) <= 1e-8]
+        assert len(online) == d + 1
+        for p in online:
+            assert orbit_report(g, p, 2).jacobian_orders == [d - 1, d * d - 1]
+            assert jacobian_multiplicity(g, p, 2) == d * d - 1
+
+    def test_homogeneous_point(self):
+        """At the homogeneous point [0:1:0] of the 0-1 row at d = 3, moved by A, the
+        germ of f is a finite homogeneous map of degree 3, so f^2 has contraction
+        order 9, local degree 81 and Jacobian order 4 + 3 * 4.  The series read
+        contraction orders [3, 5] and Jacobian orders [4, 10]."""
+        g, A = conjugated_row("0-1", 3, 0)
+        q = ProjPoint(np.linalg.solve(A, np.array([0, 1, 0], dtype=complex)))
+        p = min((x for x, _ in g.fixed_points()), key=q.dist)
+        assert p.dist(q) < 1e-8
+        rep = orbit_report(g, p, 2)
+        assert (rep.contraction_orders, rep.local_degrees, rep.jacobian_orders) == ([3, 9], [9, 81], [4, 16])
+        assert (contraction_order(g, p, 2), jacobian_multiplicity(g, p, 2)) == (9, 16)
+
+    #: forms with rational coefficients of the rows 1-0 and 1-1-incident, each
+    #: with t = 0 invariant and with rational fixed points on it
+    RATIONAL_ROWS = {
+        "1-0": ("z^3 + w^2*t + z*t^2", "w^3 + 2*z^2*t - w*t^2", "t^3"),
+        "1-1-incident": ("z^3 + w^2*t", "w^3 + t*(z^2 + w*t)", "t^3"),
+    }
+    INTEGER_A = ((1, 1, 0), (0, 1, 1), (1, 1, 1))
+
+    @pytest.mark.parametrize("row, target, exact", [
+        ("1-0", (1, 1, 0), [2, 8]), ("1-0", (1, -1, 0), [2, 8]), ("1-1-incident", (1, 0, 0), [4, 12]),
+    ])
+    def test_integer_conjugate_matches_exact_orders(self, row, target, exact):
+        """A^-1 o f o A for an integer A of determinant 1 keeps the map and the
+        point A^-1 target rational, so sympy gives ord_p(J(f^n)) exactly
+        (``exact_reference``).  On 1-0 the series read [2, 7] and [2, 6].  At
+        the incident point the cofactor of t^2 in J vanishes too (ord J = 4),
+        so the second term is no multiple of the line's order: the line rule
+        must leave it open, and the series read it."""
+        forms = self.RATIONAL_ROWS[row]
+        A = np.array(self.INTEGER_A, dtype=complex)
+        g = conjugate(make_map(*forms), A)
+        q = ProjPoint(np.linalg.solve(A, np.array(target, dtype=complex)))
+        p = min((x for x, _ in g.fixed_points()), key=q.dist)
+        assert p.dist(q) < 1e-8
+        assert jacobian_orders(forms, self.INTEGER_A, target, 2) == exact
+        assert [jacobian_multiplicity(g, p, n) for n in (1, 2)] == exact
+        assert orbit_report(g, p, 2).jacobian_orders == exact
+
+
+def test_free_row_at_d5_horizon_3():
+    """configuration_map('1-1-free', 5, 1000) = [P(z, w) : Q(z, w) : t^5].  At its
+    six fixed points on t = 0, J is t^4 times a unit and t o F = t^5, so the
+    Jacobian terms are 4 * 5^j.  At [0:0:1] the germ of f is (P, Q), finite and
+    homogeneous of degree 5, and ord(J) = 8 there.  All 31 reports keep every
+    verdict."""
+    f = configuration_map("1-1-free", 5, 1000)
+    reports = [(p, orbit_report(f, p, 3)) for p, _ in f.fixed_points()]
+    assert len(reports) == 31
+    assert all(all(rep.inequality_verdicts.values()) for _, rep in reports)
+    online = [rep for p, rep in reports if abs(p.coords[2]) <= 1e-8]
+    assert len(online) == 6
+    assert all(rep.jacobian_terms == [4, 20, 100] for rep in online)
+    (vertex,) = [rep for p, rep in reports if p.dist(CORNER) <= 1e-8]
+    assert vertex.jacobian_terms == [8, 40, 200]
+    assert vertex.degree_steps == [25, 25, 25]
+    assert vertex.contraction_orders == [5, 25, 125]
