@@ -1,4 +1,4 @@
-"""Green function of a plane self-map: certified values and invariance.
+"""Green function of a plane self-map: values with a sampled tail estimate, and invariance.
 
 The dynamical Green function is the renormalized escape rate
 lim d^-n log||F^n(x)|| on unit representatives.  For coordinatewise power

@@ -1,6 +1,6 @@
 """Dynamics of holomorphic self-maps of the complex projective plane.
 
-Green potentials with certified tails, local multiplicity cocycles along
+Green potentials with sampled tail estimates, local multiplicity cocycles along
 orbits, detection and classification of totally invariant structure, and
 Monte Carlo equidistribution and volume experiments.
 """
@@ -17,7 +17,6 @@ from .errors import (
     GenerationFailed,
     GreenP2Error,
     IllConditioned,
-    NotSuperattracting,
     OnCurve,
     OrderExceedsTruncation,
     ParseError,
@@ -30,7 +29,6 @@ from .invariant_sets import (
     InvariantLine,
     TransitionMatrix,
     classify,
-    conjugacy_check,
     exceptional_sets,
     invariant_lines,
     invariant_orbits,
@@ -38,7 +36,7 @@ from .invariant_sets import (
     line_restriction,
     transition_matrix,
 )
-from .mapfile import dump_map_json, map_from_dict, map_to_dict, read_map, write_map
+from .mapfile import dump_map_json, map_from_dict, map_to_dict, read_map
 from .maps import Fiber, LogOrbit, ProjMap, ProjPoint
 from .multiplicities import (
     MultiplicityReport,

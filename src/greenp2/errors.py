@@ -49,10 +49,6 @@ class ConstructionDegenerate(GreenP2Error):
     """A structured map construction lost degree; internal bug guard."""
 
 
-class NotSuperattracting(GreenP2Error):
-    """Conjugacy check requested at a point that is not superattracting."""
-
-
 class FitUnstable(GreenP2Error):
     """A slope fit has residual above the acceptance threshold."""
 

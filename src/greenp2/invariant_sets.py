@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComponentInvalid, NotSuperattracting
+from .errors import ComponentInvalid
 from .maps import ProjMap, ProjPoint, _unit_phase, once_per_map
 from .multiplicities import contraction_order, local_degree_step
-from .polys import HomogPoly3, monomial_exponents
+from .polys import HomogPoly3
 from .roots import roots_batch, strip_trailing
 
 LINE_TOL = 1e-7
@@ -583,195 +583,3 @@ def classify(sets: ExceptionalSets) -> ConfigurationRow:
         )
     note = "" if n2 == 0 else "kinds: " + ",".join(kind for _, kind in sets.e2_points)
     return ConfigurationRow(n1, n2, row_id, label, incidence, note)
-
-
-# -- local normal form check at exceptional points ---------------------------------
-
-
-@dataclass
-class ConjugacyReport:
-    period: int
-    kind: str  # "pencil" or "line_skew"
-    terms: int
-    deviation: float
-    samples: int
-    radius: float
-
-
-def conjugacy_check(
-    f: ProjMap, p: ProjPoint, terms: int, lines=None, samples: int = 30, radius: float = 0.2
-) -> ConjugacyReport:
-    """Deviation of the truncated-conjugacy's image from the predicted normal form.
-
-    The conjugator is the truncated infinite product built from the chart
-    denominator along the forward orbit.  The deviation must decay at least
-    geometrically in the truncation length.
-    """
-    if terms < 1 or terms > 30:
-        raise ValueError("terms must be in 1..30")
-    # find the period (<= 3) of p
-    period = None
-    q = p
-    for k in range(1, 4):
-        q = f.apply(q)
-        if q.dist(p) <= 1e-8:
-            period = k
-            break
-    if period is None:
-        raise NotSuperattracting(f"{p} is not periodic with period <= 3")
-    g = ProjMap(f.iterate_lift(period), f.nondegeneracy_residual)
-    D = g.degree
-    # superattracting = nilpotent-or-zero differential; the one-step
-    # contraction order can still be 1 in the skew normal form
-    if _differential_radius(g, p) > 1e-6:
-        raise NotSuperattracting(f"{p} has a non-nilpotent derivative")
-
-    if lines is None:
-        lines = invariant_lines(f)
-    through = [line for line in lines if line.contains(p)]
-    kind = "line_skew" if len(through) == 1 else "pencil"
-
-    G = _move_to_origin(g, p, through[0] if kind == "line_skew" else None)
-    # normalize the chart denominator at the fixed point to one
-    c0 = G[2].coeff(0, 0, D)
-    G = tuple(comp.scale(1.0 / c0) for comp in G)
-    if kind == "line_skew":
-        G = _normalize_skew(G, D)
-
-    num1 = G[0].dehomogenize(2)
-    num2 = G[1].dehomogenize(2)
-    den = G[2].dehomogenize(2)
-    top1 = _binary_part(G[0], D)
-    top2 = _binary_part(G[1], D)
-
-    rng = np.random.default_rng(97)
-    zz = rng.standard_normal((samples, 2)) + 1j * rng.standard_normal((samples, 2))
-    zz = radius * zz / np.abs(zz).max(axis=1)[:, None]
-
-    def chart_apply(x):
-        e = _eval2(den, x)
-        return np.stack([_eval2(num1, x) / e, _eval2(num2, x) / e], axis=-1)
-
-    def phi(x, T):
-        out = np.ones(x.shape[0], dtype=complex)
-        cur = x
-        for j in range(T):
-            eta = 1.0 / _eval2(den, cur) - 1.0
-            out = out * (1.0 + eta) ** (1.0 / D ** (j + 1))
-            cur = chart_apply(cur)
-        return out
-
-    fx = chart_apply(zz)
-    psi_x = zz * phi(zz, terms)[:, None]
-    psi_fx = fx * phi(fx, terms)[:, None]
-
-    if kind == "pencil":
-        pred = np.stack(
-            [_eval_binary(top1, psi_x), _eval_binary(top2, psi_x)], axis=-1
-        )
-        dev = float(np.max(np.abs(psi_fx - pred)))
-    else:
-        # second coordinate must follow w -> w^D; first is z^D plus w times a
-        # factor recovered from the chart numerator along the conjugacy
-        dev2 = np.abs(psi_fx[:, 1] - psi_x[:, 1] ** D)
-        qtilde = (_eval2(num1, zz) - zz[:, 0] ** D) / zz[:, 1]
-        pred1 = psi_x[:, 0] ** D + psi_x[:, 1] * qtilde * phi(zz, terms) ** (D - 1)
-        dev1 = np.abs(psi_fx[:, 0] - pred1)
-        dev = float(np.max(np.maximum(dev1, dev2)))
-    return ConjugacyReport(period, kind, terms, dev, samples, radius)
-
-
-def _differential_radius(g: ProjMap, p: ProjPoint) -> float:
-    """Spectral radius of the chart differential of g at the fixed point p."""
-    from .multiplicities import orbit_chart_series
-
-    _, _, series = orbit_chart_series(g, p, 1, trunc=2)
-    s1, s2 = series[1]
-    D = np.array(
-        [[s1.coeffs[1, 0], s1.coeffs[0, 1]], [s2.coeffs[1, 0], s2.coeffs[0, 1]]]
-    )
-    return float(np.max(np.abs(np.linalg.eigvals(D))))
-
-
-def _move_to_origin(g: ProjMap, p: ProjPoint, line: InvariantLine | None):
-    """Conjugate so p becomes [0:0:1]; an invariant line through p becomes {w=0}.
-
-    Row 1 must be the line's coefficient vector itself (bilinear incidence),
-    while rows built from conjugates implement Hermitian orthogonality to p.
-    """
-    if line is None:
-        b = _orthonormal_completion(p.coords)
-        rows = np.stack([np.conj(b[0]), np.conj(b[1]), np.conj(p.coords)])
-    else:
-        b1, b2 = line.basis()
-        # direction of the line Hermitian-orthogonal to p
-        t_dir = b1 - np.vdot(p.coords, b1) * p.coords
-        if np.linalg.norm(t_dir) < 1e-6:
-            t_dir = b2 - np.vdot(p.coords, b2) * p.coords
-        t_dir = t_dir / np.linalg.norm(t_dir)
-        rows = np.stack([np.conj(t_dir), line.form.coeffs, np.conj(p.coords)])
-    inv = np.linalg.inv(rows)
-    lin_rows = [HomogPoly3(1, rows[i]) for i in range(3)]
-    lin_inv = tuple(HomogPoly3(1, inv[i]) for i in range(3))
-    moved = tuple(comp.compose(lin_inv) for comp in g.components)
-    return tuple(lin_rows[i].compose(moved) for i in range(3))
-
-
-def _normalize_skew(G, D: int):
-    """Scale coordinates so the skew form reads (z^D + w*..., w^D, ...)."""
-    a = G[0].coeff(D, 0, 0)
-    c = G[1].coeff(0, D, 0)
-    if abs(a) < 1e-10 or abs(c) < 1e-10:
-        raise NotSuperattracting("skew normal form has a degenerate leading term")
-    alpha = a ** (1.0 / (D - 1))
-    beta = c ** (1.0 / (D - 1))
-    inv = (
-        HomogPoly3(1, [1.0 / alpha, 0.0, 0.0]),
-        HomogPoly3(1, [0.0, 1.0 / beta, 0.0]),
-        HomogPoly3(1, [0.0, 0.0, 1.0]),
-    )
-    scales = (alpha, beta, 1.0)
-    return tuple(G[i].compose(inv).scale(scales[i]) for i in range(3))
-
-
-def _orthonormal_completion(v):
-    """Two orthonormal vectors Hermitian-orthogonal to the unit vector v.
-
-    They come from the unit vectors in order of increasing |v_i|; one nearly
-    parallel to v is skipped.
-    """
-    out = []
-    for i in np.argsort(np.abs(v)):
-        w = np.eye(3, dtype=complex)[i] - np.conj(v[i]) * v
-        for o in out:
-            w = w - np.vdot(o, w) * o
-        n = np.linalg.norm(w)
-        if n > 1e-8:
-            out.append(w / n)
-        if len(out) == 2:
-            return out
-
-
-def _binary_part(poly: HomogPoly3, D: int):
-    """Coefficients c[m] of the (z, w)-binary part z^(D-m) w^m (t-degree zero)."""
-    co = np.zeros(D + 1, dtype=complex)
-    for (i, j, k), c in zip(monomial_exponents(D), poly.coeffs):
-        if k == 0:
-            co[j] = c
-    return co
-
-
-def _eval_binary(co, x):
-    D = len(co) - 1
-    out = np.zeros(x.shape[0], dtype=complex)
-    for m, c in enumerate(co):
-        if c != 0:
-            out = out + c * x[:, 0] ** (D - m) * x[:, 1] ** m
-    return out
-
-
-def _eval2(C, x):
-    nu, nv = C.shape
-    pu = x[:, 0][:, None] ** np.arange(nu)[None, :]
-    pv = x[:, 1][:, None] ** np.arange(nv)[None, :]
-    return np.einsum("ni,ij,nj->n", pu, C, pv)

@@ -85,8 +85,3 @@ def read_map(source) -> ProjMap:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in map file: {exc}") from exc
     return map_from_dict(obj)
-
-
-def write_map(path, f: ProjMap, metadata: dict | None = None):
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(dump_map_json(f, metadata))

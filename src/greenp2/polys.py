@@ -128,12 +128,6 @@ class HomogPoly3:
         p.coeffs[index] = 1.0
         return p
 
-    @classmethod
-    def linear_form(cls, a, b, c):
-        p = cls(1)
-        p.coeffs[:] = (a, b, c)
-        return p
-
     def copy(self):
         return HomogPoly3(self.degree, self.coeffs)
 
@@ -142,9 +136,6 @@ class HomogPoly3:
     @property
     def coeff_norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def is_zero(self, rel_tol=0.0) -> bool:
-        return self.coeff_norm <= rel_tol
 
     def coeff(self, i, j, k):
         return self.coeffs[monomial_position(i, j, k)]

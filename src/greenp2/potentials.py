@@ -1,9 +1,10 @@
 """Green potentials, curve-pullback potentials, weighted densities, volumes.
 
 The dynamical Green function is computed through the renormalized log-norm
-recurrence with a certified geometric tail; curve potentials are the
-normalized pullback potentials of plane curves, whose L1 distance to the
-Green function measures equidistribution of the pulled-back curve currents.
+recurrence with a geometric tail estimated from a padded sample of |log ||F|| |,
+which is not yet a bound; curve potentials are the normalized pullback
+potentials of plane curves, whose L1 distance to the Green function measures
+equidistribution of the pulled-back curve currents.
 Weighted (directional) density estimates and sublevel-volume experiments use
 seeded Monte Carlo sampling throughout.
 
@@ -70,7 +71,8 @@ def _tail_n(f: ProjMap, tol: float) -> int:
 
 
 def green(f: ProjMap, x: ProjPoint, tol: float = 1e-6) -> GreenEval:
-    """Green function value with a certified geometric tail bound."""
+    """Green function value with a geometric tail estimate from the sampled
+    ``ProjMap.lognorm_sup``, which can fall below the true sup: not a bound."""
     n = _tail_n(f, tol)
     M = f.lognorm_sup()
     d = f.degree
@@ -202,15 +204,23 @@ def default_r_grid():
     return np.geomspace(2.0**-4, 2.0**-14, 11)
 
 
+def _radius_grid(r_grid):
+    """The radii of a sup fit: ``default_r_grid()``, or ``r_grid`` if it holds at
+    least 5 distinct positive radii; the fit drops the largest, so fewer leave it
+    too few points to test its residual."""
+    r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    if r_grid.ndim != 1 or len(np.unique(r_grid)) < 5 or np.any(r_grid <= 0):
+        raise ValueError("need at least 5 distinct positive radii")
+    return r_grid
+
+
 def lelong_estimate(u, p, r_grid=None, samples: int = 64, seed: int = 73) -> float:
     """Logarithmic pole order of the potential u at the chart point p.
 
     Fits sup-over-sphere values of u against log r; raises FitUnstable when
     the linear fit residual exceeds 0.1.
     """
-    r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    if len(r_grid) < 5:
-        raise ValueError("need at least 5 radii")
+    r_grid = _radius_grid(r_grid)
     rng = rng_from(seed)
     p = np.asarray(p, dtype=complex)
     sups = []
@@ -230,7 +240,7 @@ def kiselman_estimate(
     a1, a2 = float(weights[0]), float(weights[1])
     if a1 <= 0 or a2 <= 0:
         raise ValueError("weights must be positive")
-    r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    r_grid = _radius_grid(r_grid)
     rng = rng_from(seed)
     p = np.asarray(p, dtype=complex)
     sups = []

@@ -1,11 +1,12 @@
 """Dead-code guard: every private module-level function and constant of the library is
-used, and every error class is raised.  Error guard: no handler catches more than the
-package's own errors.  Dependency guard: the library imports no third-party module but
-numpy.  Tooling guard: every function the benchmark tracer patches exists.  Cache guard:
-no function that takes a map carries a process-wide cache; per-map structure lives on
-the map instance, so it dies with the map and a cold copy recomputes it.
-
-Other public names are not checked, because tests use some of them as oracles.
+used, and every error class is raised.  Every public module-level function and public
+method is referenced outside its own definition and the package's re-export, by the
+library, its tests, demos or benchmark: a test oracle counts as a use.  Error guard: no
+handler catches more than the package's own errors.  Dependency guard: the library
+imports no third-party module but numpy.  Tooling guard: every function the benchmark
+tracer patches exists.  Cache guard: no function that takes a map carries a
+process-wide cache; per-map structure lives on the map instance, so it dies with the
+map and a cold copy recomputes it.
 """
 
 import ast
@@ -35,14 +36,28 @@ def _private_definitions(tree):
                 yield name, node
 
 
-def _unreferenced_private_names(src_dir):
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(src_dir.glob("*.py"))
-    }
-    # name -> ids of the nodes that refer to it (loads, attributes, imports)
+def _public_definitions(tree):
+    """(name, node) for each public module-level function and each public method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions = [inner for inner in node.body if isinstance(inner, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            functions = [node]
+        else:
+            continue
+        for function in functions:
+            if not function.name.startswith("_"):
+                yield function.name, function
+
+
+def _parse(paths):
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def _references(trees):
+    """name -> ids of the nodes that refer to it (loads, attributes, imports)."""
     refs = defaultdict(set)
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs[node.id].add(id(node))
@@ -50,13 +65,32 @@ def _unreferenced_private_names(src_dir):
                 refs[node.attr].add(id(node))
             elif isinstance(node, ast.alias):
                 refs[node.name].add(id(node))
+    return refs
+
+
+def _unreferenced(trees, definitions, refs):
     unused = []
-    for module, tree in trees.items():
-        for name, node in _private_definitions(tree):
+    for path, tree in trees.items():
+        for name, node in definitions(tree):
             own = {id(inner) for inner in ast.walk(node)}
             if not refs[name] - own:
-                unused.append((f"{module}.{name}", isinstance(node, ast.FunctionDef)))
+                unused.append((f"{path.stem}.{name}", isinstance(node, ast.FunctionDef)))
     return unused
+
+
+def _unreferenced_private_names(src_dir):
+    trees = _parse(sorted(src_dir.glob("*.py")))
+    return _unreferenced(trees, _private_definitions, _references(trees.values()))
+
+
+def _unreferenced_public_names(root):
+    """Public functions and methods of ``root``'s library that nothing uses; the
+    package ``__init__`` only re-exports, so its imports are no use."""
+    src_dir = root / "src" / "greenp2"
+    library = _parse(path for path in sorted(src_dir.glob("*.py")) if path.name != "__init__.py")
+    users = _parse(path for folder in ("tests", "demos", "perfbench") for path in sorted((root / folder).glob("*.py")))
+    refs = _references([*library.values(), *users.values()])
+    return [name for name, _ in _unreferenced(library, _public_definitions, refs)]
 
 
 def test_private_functions_are_referenced():
@@ -65,6 +99,10 @@ def test_private_functions_are_referenced():
 
 def test_private_constants_are_referenced():
     assert [name for name, is_function in _unreferenced_private_names(SRC) if not is_function] == []
+
+
+def test_public_functions_and_methods_are_referenced():
+    assert _unreferenced_public_names(ROOT) == []
 
 
 def _raised_error_classes(src_dir):

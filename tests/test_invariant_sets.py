@@ -12,10 +12,8 @@ from greenp2.errors import ComponentInvalid
 from greenp2.invariant_sets import (
     _canonical_coeffs,
     _cross,
-    _orthonormal_completion,
     _supplied_factors,
     classify,
-    conjugacy_check,
     detect_linear_critical_components,
     exceptional_sets,
     invariant_lines,
@@ -436,6 +434,15 @@ class TestExceptionalSets:
         sets = exceptional_sets(lattes)
         assert sets.e1_lines == [] and sets.e2_points == []
 
+    def test_contraction_series_growth(self, power_map):
+        """Contraction orders at an exceptional point grow like alpha * d^n."""
+        from greenp2.multiplicities import contraction_order
+
+        p = ProjPoint([0, 0, 1])
+        series = [contraction_order(power_map, p, n) for n in range(1, 6)]
+        alphas = [series[n] / 2.0 ** (n + 1) for n in range(5)]
+        assert min(alphas) >= 0.5
+
 
 class TestClassify:
     def test_power_map_row(self, power_map):
@@ -468,58 +475,6 @@ class TestClassify:
         0-0, and the 1-1-free one as 1-0."""
         g, _ = conjugated_row(row, d, s)
         assert classify(exceptional_sets(g)).row_id == row
-
-
-class TestConjugacyCheck:
-    @pytest.mark.parametrize(
-        "v", [[1e-16, 4e-17, 1], [4e-17, 1e-16, 1], [1, 1e-16, 4e-17], [0.6, 0.8j, 0], [1, 2, 3j]]
-    )
-    def test_orthonormal_completion(self, v):
-        v = np.array(v, dtype=complex) / np.linalg.norm(v)
-        b = _orthonormal_completion(v)
-        assert len(b) == 2
-        G = np.array([[np.vdot(x, y) for y in (*b, v)] for x in (*b, v)])
-        assert np.allclose(G, np.eye(3), atol=1e-14)
-
-    def test_power_corner_already_normal(self, power_map):
-        rep = conjugacy_check(power_map, ProjPoint([0, 0, 1]), terms=5)
-        assert rep.kind == "pencil"
-        assert rep.deviation < 1e-10
-
-    def test_deviation_decays_geometrically(self):
-        f = make_map("z^2+w*t*1", "w^2", "t^2+z*w")
-        p = ProjPoint([0, 0, 1])
-        d4 = conjugacy_check(f, p, terms=2).deviation
-        d8 = conjugacy_check(f, p, terms=8).deviation
-        assert d8 <= max(d4 * 2.0 ** -(8 - 2) * 8.0, 1e-11)
-
-    def test_skew_point_checks(self, worked_map):
-        """The swap-orbit corner sits on the line; period two, skew form."""
-        rep = conjugacy_check(worked_map, ProjPoint([1, 0, 0]), terms=6)
-        assert rep.kind == "line_skew"
-        assert rep.period == 2
-        assert rep.deviation < 1e-6
-
-    def test_rejects_non_periodic(self, power_map):
-        from greenp2.errors import NotSuperattracting
-
-        with pytest.raises(NotSuperattracting):
-            conjugacy_check(power_map, ProjPoint([2, 1, 1]), terms=4)
-
-    def test_rejects_non_superattracting(self, worked_map):
-        from greenp2.errors import NotSuperattracting
-
-        with pytest.raises(NotSuperattracting):
-            conjugacy_check(worked_map, ProjPoint([0, 0, 1]), terms=4)
-
-    def test_contraction_series_growth(self, power_map):
-        """Contraction orders at an exceptional point grow like alpha * d^n."""
-        from greenp2.multiplicities import contraction_order
-
-        p = ProjPoint([0, 0, 1])
-        series = [contraction_order(power_map, p, n) for n in range(1, 6)]
-        alphas = [series[n] / 2.0 ** (n + 1) for n in range(5)]
-        assert min(alphas) >= 0.5
 
 
 class TestExactIntegers:

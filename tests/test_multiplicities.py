@@ -46,10 +46,24 @@ class TestJacobianOrder:
     def test_power_corner_series(self, power_map):
         assert [jacobian_multiplicity(power_map, CORNER, n) for n in (1, 2, 3)] == [2, 6, 14]
 
-    def test_chart_independence(self, power_map):
-        a = jacobian_multiplicity(power_map, EDGE, 1, chart_override={0: 0})
-        b = jacobian_multiplicity(power_map, EDGE, 1, chart_override={0: 2})
-        assert a == b == 1
+    def test_chart_independence(self, worked_map, monkeypatch):
+        """The worked map moved by a real rotation A: at its fixed point A^-1[0:0:1] =
+        [1:0:1], visible in charts 0 and 2, the exact rules leave the term of f(p) open,
+        so each chart reaches the series; both read the worked map's 5 at [0:0:1]."""
+        c = 2**-0.5
+        f = conjugate(worked_map, np.array([[c, 0, -c], [0, 1, 0], [c, 0, c]]))
+        read = multiplicities._series_reads
+        charts = []
+
+        def spy(f, p, ks, terms, n, what, chart_override=None):
+            charts.append(chart_override)
+            return read(f, p, ks, terms, n, what, chart_override)
+
+        monkeypatch.setattr(multiplicities, "_series_reads", spy)
+        a = jacobian_multiplicity(f, EDGE, 2, chart_override={0: 0})
+        b = jacobian_multiplicity(f, EDGE, 2, chart_override={0: 2})
+        assert a == b == 5
+        assert charts == [{0: 0}, {0: 2}]
 
 
 class TestContractionOrder:

@@ -209,6 +209,17 @@ class TestKiselman:
             ki = kiselman_estimate(u, (0, 0), weights).slope
             assert ki >= min(weights) * le - 0.05
 
+    @pytest.mark.parametrize("r_grid", [[1e-2, 1e-3], [1e-2, 1e-3, 1e-4, 1e-5], [1e-2] * 6, [1e-2, 1e-3, 1e-4, 1e-5, 0.0]])
+    @pytest.mark.parametrize("estimate", [
+        lambda u, r_grid: kiselman_estimate(u, (0, 0), (1.0, 1.0), r_grid=r_grid),
+        lambda u, r_grid: lelong_estimate(u, (0, 0), r_grid=r_grid),
+    ], ids=["kiselman", "lelong"])
+    def test_refuses_a_short_radius_grid(self, estimate, r_grid):
+        """The fit drops the largest radius: two radii left a one-point fit with residual 0,
+        which read 0.979 for log|z|, whose density is 1."""
+        with pytest.raises(ValueError, match="5 distinct positive radii"):
+            estimate(u_log_abs(0), r_grid)
+
 
 class TestDecayScan:
     LINE = [(0.0, 0.0), (0.0, 0.4), (0.0, -0.25 + 0.3j)]
