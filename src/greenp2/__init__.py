@@ -37,7 +37,7 @@ from .invariant_sets import (
     transition_matrix,
 )
 from .mapfile import dump_map_json, map_from_dict, map_to_dict, read_map
-from .maps import Fiber, LogOrbit, ProjMap, ProjPoint
+from .maps import Fiber, ProjMap, ProjPoint
 from .multiplicities import (
     MultiplicityReport,
     contraction_order,

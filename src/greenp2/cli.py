@@ -29,8 +29,10 @@ from .multiplicities import orbit_report
 from .polys import parse_poly
 from .potentials import (
     _chart_lift,
+    _tail_bound,
+    _tail_n,
     equidist_distance,
-    green,
+    green_batch,
     kiselman_estimate,
     lelong_estimate,
     volume_sweep,
@@ -160,17 +162,13 @@ def _cmd_green(args, seed):
         raise ValueError("--samples must be at least 1")
     f = _load_map(args)
     pts = fs_points(args.samples, seed)
-    rows = []
-    for k in range(args.samples):
-        ev = green(f, ProjPoint(pts[k]), tol=args.tol)
-        rows.append(
-            {
-                "point": _point_json(ProjPoint(pts[k])),
-                "value": ev.value,
-                "n_used": ev.n_used,
-                "tail_bound": ev.tail_bound,
-            }
-        )
+    values = green_batch(f, pts, tol=args.tol)
+    n = _tail_n(f, args.tol)
+    tail = _tail_bound(f, n)
+    rows = [
+        {"point": _point_json(ProjPoint(x)), "value": value, "n_used": n, "tail_bound": tail}
+        for x, value in zip(pts, values.tolist())
+    ]
     report = {
         "command": "green",
         "degree": f.degree,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +64,13 @@ def _read_only(value):
     return value
 
 
-def _unit_phase(v, norm=None):
+def _unit_phase(v):
     """Unit-norm copy of the vector v with a canonical phase.
 
     The first non-negligible coordinate is made real positive; the threshold
-    is relative so solver noise cannot grab the pivot.  norm, when given, is
-    np.linalg.norm(v), taken by the caller.
+    is relative so solver noise cannot grab the pivot.
     """
-    if norm is None:
-        norm = np.linalg.norm(v)
+    norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("projective point needs a nonzero representative")
     v = v / norm
@@ -104,20 +101,10 @@ class ProjPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self._set_coords(coords, None)
-
-    @classmethod
-    def _with_norm(cls, coords, norm):
-        """ProjPoint(coords) for a vector whose np.linalg.norm the caller has taken."""
-        point = cls.__new__(cls)
-        point._set_coords(coords, norm)
-        return point
-
-    def _set_coords(self, coords, norm):
         v = np.asarray(coords, dtype=complex).reshape(3)
         if not np.all(np.isfinite(v)):
             raise ValueError("projective point needs a finite representative")
-        self.coords = _unit_phase(v, norm)
+        self.coords = _unit_phase(v)
 
     def chart(self) -> int:
         return int(np.argmax(np.abs(self.coords)))
@@ -148,12 +135,6 @@ class ProjPoint:
     def __repr__(self):
         c = np.round(self.coords, 6)
         return f"[{c[0]}:{c[1]}:{c[2]}]"
-
-
-@dataclass
-class LogOrbit:
-    points: list
-    lognorms: list
 
 
 @dataclass
@@ -226,23 +207,6 @@ class ProjMap:
         for _ in range(n):
             pts.append(self.apply(pts[-1]))
         return pts
-
-    def iterate_lognorm(self, x0: ProjPoint, n: int) -> LogOrbit:
-        """Normalized orbit with the renormalized log-norm recurrence.
-
-        lognorms[k] equals log ||F^k(x)|| for the unit representative x of x0.
-        """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        points = [x0]
-        lognorms = [0.0]
-        d = self.degree
-        for _ in range(n):
-            image = self.lift(points[-1].coords)
-            norm = float(np.linalg.norm(image))
-            lognorms.append(d * lognorms[-1] + math.log(norm))
-            points.append(ProjPoint._with_norm(image, norm))
-        return LogOrbit(points, lognorms)
 
     # -- cached structure ---------------------------------------------------
 

@@ -62,7 +62,14 @@ class KiselmanEstimate:
     fit_residual: float
 
 
+def _require_finite(name, value):
+    """Raise ValueError unless value, a number or an array of them, is finite."""
+    if not np.all(np.isfinite(np.asarray(value, dtype=complex))):
+        raise ValueError(f"{name} must be finite")
+
+
 def _tail_n(f: ProjMap, tol: float) -> int:
+    _require_finite("tol", tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     M = f.lognorm_sup()
@@ -70,22 +77,25 @@ def _tail_n(f: ProjMap, tol: float) -> int:
     return max(1, int(math.ceil(math.log(max(M / ((d - 1) * tol), 1.0)) / math.log(d))))
 
 
+def _tail_bound(f: ProjMap, n: int) -> float:
+    """The geometric tail M d^-n / (d - 1) after n steps, M = ``f.lognorm_sup()``."""
+    return f.lognorm_sup() * f.degree ** (-n) / (f.degree - 1)
+
+
 def green(f: ProjMap, x: ProjPoint, tol: float = 1e-6) -> GreenEval:
-    """Green function value with a geometric tail estimate from the sampled
-    ``ProjMap.lognorm_sup``, which can fall below the true sup: not a bound."""
+    """Green function value at x, the one-row case of ``green_batch``, with a
+    geometric tail estimate from the sampled ``ProjMap.lognorm_sup``, which can
+    fall below the true sup: not a bound."""
     n = _tail_n(f, tol)
-    M = f.lognorm_sup()
-    d = f.degree
-    orbit = f.iterate_lognorm(x, n)
-    value = orbit.lognorms[-1] / d**n
-    return GreenEval(float(value), n, M * d ** (-n) / (d - 1), M)
+    a, _ = _orbit_arrays(f, x.coords[None, :], n)
+    return GreenEval(float(a[-1, 0] / f.degree**n), n, _tail_bound(f, n), f.lognorm_sup())
 
 
 def green_batch(f: ProjMap, points: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Vectorized Green values over an (N, 3) array of unit representatives."""
     n = _tail_n(f, tol)
     a, _ = _orbit_arrays(f, points, n)
-    return a[n] / f.degree**n
+    return a[-1] / f.degree**n
 
 
 #: most points walked through all orbit steps together: blocks of 2,048 to
@@ -110,36 +120,50 @@ def _orbit_arrays(
 ):
     """Log-norm accumulators along the renormalized orbit, walked block by block.
 
-    Returns (a, v): a[k] is the log-norm array at step k (k = 0..n), and v[k]
-    is |phi| at the unit representatives of step k (k = 0..n_phi; no rows
-    without phi).  Each block of points runs through all n steps before the
-    next starts, and no orbit point outlives its step, so memory is
-    N * (n + 1 + n_phi + 1) floats.
+    Returns (a, v) for 0 <= n_phi <= n: a[k] is the log-norm array at step k
+    for k = 0..n_phi, and a[-1] the one at step n; v[k] is |phi| at the unit
+    representatives of step k (k = 0..n_phi; no rows without phi).  Each
+    block of points runs through all n steps before the next starts, and only
+    the rows read are kept, so memory is N * (n_phi + 2) floats, and
+    N * (n_phi + 1) more with phi.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     d = f.degree
     points = np.asarray(points, dtype=complex)
-    a = np.zeros((n + 1, points.shape[0]))
+    a = np.empty((n_phi + 2, points.shape[0]))
     v = np.empty((0 if phi is None else n_phi + 1, points.shape[0]))
     for rows in _blocks(points.shape[0]):
         x = points[rows]
+        acc = np.zeros(x.shape[0])
         for k in range(n + 1):
-            if k < len(v):
-                v[k, rows] = np.abs(phi.eval_batch(x))
-            if k == n:
-                break
-            lognorms, x = _unit_rows(f.lift(x))
-            a[k + 1, rows] = d * a[k, rows] + lognorms
+            if k <= n_phi:
+                a[k, rows] = acc
+                if phi is not None:
+                    v[k, rows] = np.abs(phi.eval_batch(x))
+            if k < n:
+                lognorms, x = _unit_rows(f.lift(x))
+                acc = d * acc + lognorms
+        a[-1, rows] = acc
     return a, v
 
 
+def _check_curve(phi: HomogPoly3):
+    """Refuse a constant or zero form: its zero set is no curve."""
+    if phi.degree < 1 or not np.any(phi.coeffs):
+        raise ValueError(f"curve {phi.to_string()!r} is constant: need a nonzero form of degree at least 1")
+
+
 def curve_potential(f: ProjMap, phi: HomogPoly3, n: int, x: ProjPoint) -> float:
-    """Normalized pullback potential of the curve {phi = 0} at x after n steps."""
+    """Normalized pullback potential of the curve {phi = 0} at x after n steps:
+    the one-row case of the walk ``equidist_distance`` takes."""
+    _check_curve(phi)
     k = phi.degree
-    orbit = f.iterate_lognorm(x, n)
-    val = abs(phi(orbit.points[n].coords))
+    a, absphi = _orbit_arrays(f, x.coords[None, :], n, phi, n)
+    val = absphi[n, 0]
     if val < 1e-300:
         raise OnCurve(f"{x} hits the pullback curve at depth {n}")
-    return float((math.log(val) + k * orbit.lognorms[n]) / (k * f.degree**n))
+    return float((math.log(val) + k * a[n, 0]) / (k * f.degree**n))
 
 
 def equidist_distance(
@@ -160,12 +184,13 @@ def equidist_distance(
         raise ValueError("n_max must be non-negative")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    _check_curve(phi)
     d = f.degree
     k = phi.degree
     n_green = max(n_max, _tail_n(f, tol))
     pts = fs_points(samples, seed)
     a, absphi = _orbit_arrays(f, pts, n_green, phi, n_max)
-    g = a[n_green] / d**n_green
+    g = a[-1] / d**n_green
     rows = []
     for n in range(n_max + 1):
         vals = np.maximum(absphi[n], 1e-300)
@@ -218,17 +243,18 @@ def lelong_estimate(u, p, r_grid=None, samples: int = 64, seed: int = 73) -> flo
     """Logarithmic pole order of the potential u at the chart point p.
 
     Fits sup-over-sphere values of u against log r; raises FitUnstable when
-    the linear fit residual exceeds 0.1.
+    the linear fit residual exceeds 0.1 or is not a number.
     """
     r_grid = _radius_grid(r_grid)
     rng = rng_from(seed)
     p = np.asarray(p, dtype=complex)
+    _require_finite("point", p)
     sups = []
     for r in r_grid:
         sphere = sphere_shell(samples, 2, rng)
         sups.append(float(np.max(u(p[None, :] + r * sphere))))
     slope, resid = _slope_fit_weighted(np.log(r_grid), np.array(sups))
-    if resid > 0.1:
+    if not resid <= 0.1:
         raise FitUnstable(f"sup fit residual {resid:.3f} over the radius grid")
     return slope
 
@@ -236,20 +262,26 @@ def lelong_estimate(u, p, r_grid=None, samples: int = 64, seed: int = 73) -> flo
 def kiselman_estimate(
     u, p, weights, r_grid=None, samples: int = 64, seed: int = 74
 ) -> KiselmanEstimate:
-    """Directional (weighted-polydisk) density of u at p with the given weights."""
+    """Directional (weighted-polydisk) density of u at p with the given weights.
+
+    Raises FitUnstable when the fit residual exceeds 0.1 max(1, |slope|) or is
+    not a number.
+    """
     a1, a2 = float(weights[0]), float(weights[1])
+    _require_finite("weights", (a1, a2))
     if a1 <= 0 or a2 <= 0:
         raise ValueError("weights must be positive")
     r_grid = _radius_grid(r_grid)
     rng = rng_from(seed)
     p = np.asarray(p, dtype=complex)
+    _require_finite("point", p)
     sups = []
     for r in r_grid:
         radii = (r ** (1.0 / a1), r ** (1.0 / a2))
         pts = torus_points(samples, p, radii, rng)
         sups.append(float(np.max(u(pts))))
     slope, resid = _slope_fit_weighted(np.log(r_grid), a1 * a2 * np.array(sups))
-    if resid > 0.1 * max(1.0, abs(slope)):
+    if not resid <= 0.1 * max(1.0, abs(slope)):
         raise FitUnstable(f"weighted sup fit residual {resid:.3f}")
     return KiselmanEstimate(tuple(p), (a1, a2), slope, r_grid, resid)
 
@@ -335,6 +367,8 @@ def _ball_lift(ball, samples, seed, grid):
         raise ValueError("need at least 2 samples")
     if not radius > 0:
         raise ValueError("radius must be positive")
+    _require_finite("radius", radius)
+    _require_finite("center", center)
     if chart not in (0, 1, 2):
         raise ValueError(f"chart must be 0, 1 or 2, not {chart!r}")
     if not isinstance(grid, (int, np.integer)) or grid < 1:

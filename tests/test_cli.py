@@ -5,9 +5,20 @@ import sys
 
 import pytest
 
-from greenp2 import ProjMap, configuration_map, dump_map_json, map_from_dict, read_map, volume_decay
+from greenp2 import (
+    ProjMap,
+    ProjPoint,
+    configuration_map,
+    dump_map_json,
+    green,
+    green_batch,
+    map_from_dict,
+    read_map,
+    volume_decay,
+)
 from greenp2.cli import run
 from greenp2.errors import ParseError
+from greenp2.sampling import fs_points
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +83,48 @@ class TestCommands:
         for row in out["values"]:
             assert row["tail_bound"] <= out["tol"]
 
+    @pytest.mark.parametrize("row, d", [("1-0", 3), ("2-3", 2)])
+    def test_green_report_is_one_batch(self, tmp_path, capsys, row, d):
+        """The values are one green_batch call on the seeded samples, bit for bit; the
+        steps, tail and sup are the single-point green's fields."""
+        path = tmp_path / "map.json"
+        path.write_text(dump_map_json(configuration_map(row, d, 7)))
+        code = run(["green", "--map", str(path), "--samples", "7", "--seed", "2", "--tol", "1e-8"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        f = read_map(str(path))
+        pts = fs_points(7, 2)
+        assert [r["value"] for r in out["values"]] == green_batch(f, pts, tol=1e-8).tolist()
+        for x, r in zip(pts, out["values"]):
+            ev = green(f, ProjPoint(x), tol=1e-8)
+            assert (r["n_used"], r["tail_bound"], out["sup_log_norm"]) == (ev.n_used, ev.tail_bound, ev.sup_log)
+            assert abs(r["value"] - ev.value) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["green", "--tol", "nan"], "tol must be finite"),
+            (["green", "--tol", "inf"], "tol must be finite"),
+            (["lelong", "--point", "nan,0"], "point must be finite"),
+            (["kiselman", "--point", "0,inf"], "point must be finite"),
+            (["kiselman", "--alpha", "inf,1"], "weights must be finite"),
+        ],
+    )
+    def test_refuses_nonfinite_input(self, power_path, capsys, argv, message):
+        """Each ran on: a stray error, one Green step, or a NaN estimate with exit 0."""
+        code = run([argv[0], "--map", power_path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("curve, name", [("0", "'0'"), ("1", "'1.0'")])
+    def test_equidist_refuses_constant_curve(self, power_path, capsys, curve, name):
+        """Degree 0 gave a division by k = 0 and NaN rows, exit 2."""
+        code = run(["equidist", "--map", power_path, "--curve", curve, "--n", "2", "--samples", "50"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: curve {name} is constant: need a nonzero form of degree at least 1\n"
+
     def test_equidist_nonconvergence_flagged_exit_zero(self, power_path, capsys):
         code = run(
             ["equidist", "--map", power_path, "--curve", "z", "--n", "4", "--samples", "500", "--seed", "3"]
@@ -90,6 +143,7 @@ class TestCommands:
             ("--n", "-1", "n_max must be non-negative"),
             ("--samples", "0", "need at least 2 samples"),
             ("--samples", "1", "need at least 2 samples"),
+            ("--tol", "inf", "tol must be finite"),
         ],
     )
     def test_equidist_refuses_bad_arguments(self, power_path, capsys, flag, value, message):
@@ -108,6 +162,8 @@ class TestCommands:
             ("--samples", "1", "need at least 2 samples"),
             ("--radius", "0", "radius must be positive"),
             ("--radius", "-0.1", "radius must be positive"),
+            ("--radius", "inf", "radius must be finite"),
+            ("--point", "nan,0", "center must be finite"),
         ],
     )
     def test_volume_refuses_bad_arguments(self, power_path, capsys, flag, value, message):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -150,32 +148,6 @@ class TestLiftTable:
         assert np.array_equal(f.lift(X), expected)
         single = np.array([p.eval_batch(X[0])[0] for p in f.components])
         assert np.array_equal(f.lift(X[0]), single)
-
-
-class TestLogOrbit:
-    def test_fixed_coordinate_point(self, power_map):
-        orbit = power_map.iterate_lognorm(ProjPoint([1, 0, 0]), 5)
-        assert orbit.lognorms == [0.0] * 6
-
-    def test_two_step_reconstruction(self, power_map):
-        """a_1 plus the degree-scaled norm of the representative recovers log||F||."""
-        orbit = power_map.iterate_lognorm(ProjPoint([2, 1, 1]), 1)
-        a1 = orbit.lognorms[1]
-        lift_norm = math.log(math.sqrt(18))  # ||F(2,1,1)||
-        assert a1 + 2 * math.log(math.sqrt(6)) == pytest.approx(lift_norm, abs=1e-12)
-
-    def test_zero_steps(self, worked_map):
-        orbit = worked_map.iterate_lognorm(ProjPoint([1, 2, 3]), 0)
-        assert orbit.lognorms == [0.0] and len(orbit.points) == 1
-
-    def test_renormalized_sequence_cauchy(self, worked_map):
-        """d^-n a_n has gaps within the geometric tail bound."""
-        M = worked_map.lognorm_sup()
-        d = worked_map.degree
-        orbit = worked_map.iterate_lognorm(ProjPoint([0.3, -0.8, 1.1]), 12)
-        vals = [a / d**n for n, a in enumerate(orbit.lognorms)]
-        for n in range(12):
-            assert abs(vals[n + 1] - vals[n]) <= M * d ** (-n) / (d - 1) + 1e-12
 
 
 class TestFixedPoints:

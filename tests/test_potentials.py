@@ -9,7 +9,7 @@ import pytest
 import table_reference
 from conftest import random_valid_map
 from occupancy_reference import loop_grid_occupancy
-from greenp2 import CONFIGURATION_IDS, ProjPoint, configuration_map, lattes_map, parse_poly
+from greenp2 import CONFIGURATION_IDS, HomogPoly3, ProjPoint, configuration_map, lattes_map, parse_poly
 from greenp2.errors import FitUnstable, OnCurve
 from greenp2.maps import _unit_rows
 from greenp2.polys import monomial_table, n_monomials
@@ -80,6 +80,24 @@ class TestGreen:
         with pytest.raises(ValueError, match="tol must be positive"):
             green_batch(power_map, fs_points(5, 11), tol=tol)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_refuses_nonfinite_tol(self, power_map, tol):
+        """A NaN tol raised a stray integer-conversion error; an infinite one walked one step."""
+        with pytest.raises(ValueError, match="tol must be finite"):
+            green(power_map, ProjPoint([2, 1, 1]), tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            green_batch(power_map, fs_points(5, 11), tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            equidist_distance(power_map, parse_poly("z+w+2t"), 2, 50, seed=3, tol=tol)
+
+    def test_scalar_is_one_row_batch(self, worked_map):
+        """green(f, x) is green_batch on the one row of x's coordinates, bit for bit."""
+        for x in fs_points(10, 12):
+            p = ProjPoint(x)
+            ev = green(worked_map, p, tol=1e-8)
+            assert ev.value == green_batch(worked_map, p.coords[None, :], tol=1e-8)[0]
+            assert ev.n_used == _tail_n(worked_map, 1e-8)
+
 
 class TestCurvePotential:
     def test_depth_zero(self, power_map):
@@ -95,6 +113,20 @@ class TestCurvePotential:
     def test_on_curve_raises(self, power_map):
         with pytest.raises(OnCurve):
             curve_potential(power_map, parse_poly("z"), 0, ProjPoint([0, 1, 1]))
+
+    def test_on_curve_raises_at_depth(self, power_map):
+        """z o F^3 vanishes at [0:1:1]: the walk's |phi| at step 3 is exactly 0."""
+        with pytest.raises(OnCurve, match="depth 3"):
+            curve_potential(power_map, parse_poly("z"), 3, ProjPoint([0, 1, 1]))
+
+    @pytest.mark.parametrize("phi", [parse_poly("0"), parse_poly("1"), HomogPoly3(2)], ids=["zero", "one", "zero-conic"])
+    def test_refuses_constant_curve(self, power_map, phi):
+        """A form of degree 0, or with no nonzero coefficient, divided by k = 0 or clipped
+        every sample: NaN rows and RuntimeWarnings."""
+        with pytest.raises(ValueError, match="is constant"):
+            curve_potential(power_map, phi, 2, ProjPoint([2, 1, 1]))
+        with pytest.raises(ValueError, match="is constant"):
+            equidist_distance(power_map, phi, 2, 50, seed=3)
 
     def test_high_depth_close_to_green(self, power_map):
         """Pullback potentials of a generic line approach the Green values."""
@@ -145,8 +177,8 @@ class TestEquidist:
 
     def test_memory_is_blockwise(self, power_map):
         """40 Green steps over 20,000 samples.  One pass over all points kept 41
-        complex triples per sample (a 51 MB peak); the blocked walk keeps 41
-        log-norm and 9 |phi| floats per sample (a 10 MB peak)."""
+        complex triples per sample (a 51 MB peak); the blocked walk keeps 10
+        log-norm (steps 0..8 and the last) and 9 |phi| floats per sample."""
         phi = parse_poly("z+w+2t")
         power_map.lognorm_sup()
         assert _tail_n(power_map, 1e-12) >= 35
@@ -177,6 +209,30 @@ class TestLelong:
         u = lambda pts: rng.standard_normal(len(pts)) * 5.0
         with pytest.raises(FitUnstable):
             lelong_estimate(u, (0, 0))
+
+    def test_nan_fit_raises(self):
+        """A NaN residual passed ``resid > 0.1`` and returned a NaN slope."""
+        u = lambda pts: np.where(np.abs(pts[:, 0]) < 1e-3, np.nan, np.log(np.abs(pts[:, 0]) + 1e-300))
+        with pytest.raises(FitUnstable, match="nan"):
+            lelong_estimate(u, (0, 0))
+        with pytest.raises(FitUnstable, match="nan"):
+            kiselman_estimate(u, (0, 0), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "point, weights, message",
+        [
+            ((math.nan, 0), (1.0, 1.0), "point must be finite"),
+            ((0, complex(0, math.inf)), (1.0, 1.0), "point must be finite"),
+            ((0, 0), (math.inf, 1.0), "weights must be finite"),
+            ((0, 0), (1.0, math.nan), "weights must be finite"),
+        ],
+    )
+    def test_refuses_nonfinite_input(self, point, weights, message):
+        with pytest.raises(ValueError, match=message):
+            kiselman_estimate(u_log_abs(0), point, weights)
+        if message.startswith("point"):
+            with pytest.raises(ValueError, match=message):
+                lelong_estimate(u_log_abs(0), point)
 
 
 class TestKiselman:
@@ -284,6 +340,8 @@ class TestVolumeDecay:
             ((2, (0.4, 0.3), math.nan), 2, 500, "radius must be positive"),
             ((5, (0.4, 0.3), 0.1), 2, 500, "chart must be 0, 1 or 2"),
             ((-1, (0.4, 0.3), 0.1), 2, 500, "chart must be 0, 1 or 2"),
+            ((2, (0.4, 0.3), math.inf), 2, 500, "radius must be finite"),
+            ((2, (math.nan, 0.3), 0.1), 2, 500, "center must be finite"),
         ],
     )
     def test_refuses_bad_arguments(self, power_map, ball, n, samples, message):
@@ -302,6 +360,8 @@ class TestVolumeDecay:
             ((2, (0.4, 0.3), math.nan), 2, 500, "radius must be positive"),
             ((5, (0.4, 0.3), 0.1), 2, 500, "chart must be 0, 1 or 2"),
             ((-1, (0.4, 0.3), 0.1), 2, 500, "chart must be 0, 1 or 2"),
+            ((2, (0.4, 0.3), math.inf), 2, 500, "radius must be finite"),
+            ((2, (math.nan, 0.3), 0.1), 2, 500, "center must be finite"),
         ],
     )
     def test_sweep_refuses_bad_arguments(self, power_map, ball, n_max, samples, message):
@@ -407,9 +467,16 @@ class TestOrbitBlocks:
         n = _tail_n(f, 1e-6)
         a, xs = _orbit_arrays_reference(f, X, n)
         assert np.array_equal(green_batch(f, X, tol=1e-6), a[n] / d**n)
-        got_a, got_phi = _orbit_arrays(f, X, n, phi, n)
-        assert np.array_equal(got_a, np.array(a))
-        assert np.array_equal(got_phi, np.array([np.abs(phi.eval_batch(x)) for x in xs]))
+        absphi = [np.abs(phi.eval_batch(x)) for x in xs]
+        # only the rows callers read: steps 0..n_phi, then step n
+        for n_phi in (n, 2):
+            got_a, got_phi = _orbit_arrays(f, X, n, phi, n_phi)
+            assert got_a.shape == (n_phi + 2, N) and got_phi.shape == (n_phi + 1, N)
+            assert np.array_equal(got_a, np.array(a[: n_phi + 1] + [a[n]]))
+            assert np.array_equal(got_phi, np.array(absphi[: n_phi + 1]))
+        got_a, got_phi = _orbit_arrays(f, X, n)
+        assert got_a.shape == (2, N) and got_phi.shape == (0, N)
+        assert np.array_equal(got_a, np.array([a[0], a[n]]))
         *_, got = _orbit_log_jacobian(f, X, 3)
         want = _log_jacobian_reference(f, X, 3)
         assert all(np.array_equal(u, v) for u, v in zip(got, want))
@@ -417,6 +484,61 @@ class TestOrbitBlocks:
             rep = equidist_distance(f, phi, 4, N, seed=81, tol=1e-6)
             rows = [(r.n, r.l1_distance, r.stderr, r.clip_fraction) for r in rep.per_n]
             assert rows == _equidist_rows_reference(f, phi, 4, N, 81, 1e-6)
+
+
+class TestOrbitWalk:
+    """The renormalized log-norm recurrence a_(k+1) = d a_k + log ||F(x_k)||, x_k unit."""
+
+    def test_fixed_coordinate_point(self, power_map):
+        a, v = _orbit_arrays(power_map, ProjPoint([1, 0, 0]).coords[None, :], 5, None, 5)
+        assert a.shape == (7, 1) and v.shape == (0, 1)
+        assert not a.any()
+
+    def test_two_step_reconstruction(self, power_map):
+        """a_1 plus the degree-scaled norm of the representative recovers log||F||."""
+        a, _ = _orbit_arrays(power_map, ProjPoint([2, 1, 1]).coords[None, :], 1)
+        lift_norm = math.log(math.sqrt(18))  # ||F(2,1,1)||
+        assert a[-1, 0] + 2 * math.log(math.sqrt(6)) == pytest.approx(lift_norm, abs=1e-12)
+
+    def test_zero_steps(self, worked_map):
+        phi = parse_poly("z+w+2t")
+        x = ProjPoint([1, 2, 3]).coords[None, :]
+        a, v = _orbit_arrays(worked_map, x, 0, phi)
+        assert a.shape == (2, 1) and not a.any()
+        assert np.array_equal(v, np.abs(phi.eval_batch(x))[None, :])
+
+    def test_renormalized_sequence_cauchy(self, worked_map):
+        """d^-n a_n has gaps within the geometric tail estimate."""
+        M = worked_map.lognorm_sup()
+        d = worked_map.degree
+        X = np.vstack([ProjPoint([0.3, -0.8, 1.1]).coords, fs_points(50, 13)])
+        a, _ = _orbit_arrays(worked_map, X, 12, None, 12)
+        assert np.array_equal(a[-1], a[12])
+        vals = a[:-1] / float(d) ** np.arange(13)[:, None]
+        for n in range(12):
+            assert np.all(np.abs(vals[n + 1] - vals[n]) <= M * d ** (-n) / (d - 1) + 1e-12)
+
+    def test_refuses_negative_steps(self, worked_map):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            _orbit_arrays(worked_map, fs_points(3, 14), -1)
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            curve_potential(worked_map, parse_poly("z"), -1, ProjPoint([1, 2, 3]))
+
+    def test_green_memory_does_not_grow_with_steps(self, power_map):
+        """green_batch keeps two log-norm rows per point, not one per step: its peak
+        over 20,000 points is the same at 5 steps as at 40."""
+        X = fs_points(20000, 15)
+        power_map.lognorm_sup()
+        peaks = []
+        for tol in (1e-1, 1e-12):
+            tracemalloc.start()
+            try:
+                green_batch(power_map, X, tol=tol)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert _tail_n(power_map, 1e-12) >= 8 * _tail_n(power_map, 1e-1)
+        assert peaks[1] < 1.1 * peaks[0]
 
 
 def _edge_points(N, seed):
