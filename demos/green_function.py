@@ -1,4 +1,4 @@
-"""Green function of a plane self-map: values with a sampled tail estimate, and invariance.
+"""Green function of a plane self-map: values with a tail bound, and invariance.
 
 The dynamical Green function is the renormalized escape rate
 lim d^-n log||F^n(x)|| on unit representatives.  For coordinatewise power
@@ -22,7 +22,7 @@ closed = math.log(2) - 0.5 * math.log(6)
 print("power map at [2:1:1]:")
 print(f"  computed value {ev.value:+.10f} using {ev.n_used} iterations")
 print(f"  closed form    {closed:+.10f}")
-print(f"  certified tail {ev.tail_bound:.2e}")
+print(f"  tail bound     {ev.tail_bound:.2e}")
 
 print("\ncoordinate point [1:0:0] is fixed with unit norms, so the value is exactly")
 print(f"  {green(power, ProjPoint([1, 0, 0]), tol=1e-8).value}")

@@ -1,6 +1,6 @@
 """Dynamics of holomorphic self-maps of the complex projective plane.
 
-Green potentials with sampled tail estimates, local multiplicity cocycles along
+Green potentials with geometric tail bounds, local multiplicity cocycles along
 orbits, detection and classification of totally invariant structure, and
 Monte Carlo equidistribution and volume experiments.
 """

@@ -29,8 +29,8 @@ from .multiplicities import orbit_report
 from .polys import parse_poly
 from .potentials import (
     _chart_lift,
-    _tail_bound,
-    _tail_n,
+    _require_power,
+    _tail,
     equidist_distance,
     green_batch,
     kiselman_estimate,
@@ -79,10 +79,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=None, n=None, tol=None):
+    def common(p, samples=None, n=None, tol=None, point=None):
         p.add_argument("--map", default="-", help="map JSON path, or - for stdin")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--csv", default=None, help="write the report series as CSV")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (env GREENP2_DEFAULT_SEED)")
         if samples is not None:
             p.add_argument("--samples", type=int, default=samples)
@@ -90,6 +89,9 @@ def build_parser():
             p.add_argument("--n", type=int, default=n)
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol)
+        if point is not None:
+            p.add_argument("--point", type=_complex_pair, default=point)
+            p.add_argument("--chart", choices=sorted(CHART_INDEX), default="t")
 
     p = sub.add_parser("green", help="Green function values at seeded random points")
     common(p, samples=5, tol=1e-6)
@@ -98,7 +100,7 @@ def build_parser():
     common(p, samples=0, n=3)
 
     p = sub.add_parser("invariants", help="invariant lines/points and transition matrix")
-    common(p, n=3)
+    common(p)
 
     p = sub.add_parser("classify", help="exceptional-set configuration")
     common(p)
@@ -106,23 +108,19 @@ def build_parser():
     p = sub.add_parser("equidist", help="curve-pullback equidistribution distances")
     common(p, samples=10000, n=8, tol=1e-6)
     p.add_argument("--curve", default="z+w+2t", help="homogeneous curve polynomial")
+    p.add_argument("--csv", default=None, help="write the distance series as CSV")
 
     p = sub.add_parser("lelong", help="pole order of log|Jacobian| at a chart point")
-    common(p)
-    p.add_argument("--point", type=_complex_pair, default=(0j, 0j))
-    p.add_argument("--chart", choices=sorted(CHART_INDEX), default="t")
+    common(p, point=(0j, 0j))
 
     p = sub.add_parser("kiselman", help="weighted density of log|Jacobian| at a chart point")
-    common(p)
-    p.add_argument("--point", type=_complex_pair, default=(0j, 0j))
-    p.add_argument("--chart", choices=sorted(CHART_INDEX), default="t")
+    common(p, point=(0j, 0j))
     p.add_argument("--alpha", type=_float_pair, default=(1.0, 1.0))
 
     p = sub.add_parser("volume", help="volume decay of a small ball under iteration")
-    common(p, samples=20000, n=3)
-    p.add_argument("--point", type=_complex_pair, default=(0.4 + 0j, 0.3 + 0j))
-    p.add_argument("--chart", choices=sorted(CHART_INDEX), default="t")
+    common(p, samples=20000, n=3, point=(0.4 + 0j, 0.3 + 0j))
     p.add_argument("--radius", type=float, default=0.1)
+    p.add_argument("--csv", default=None, help="write the occupancy series as CSV")
 
     p = sub.add_parser("gen", help="generate structured maps as JSON")
     p.add_argument("kind", choices=["table1", "lattes-ueda"])
@@ -139,19 +137,15 @@ def _load_map(args):
     return read_map(args.map)
 
 
-def _emit(args, report, csv_rows=None, csv_header=None):
+def _emit(args, report, csv_rows=None):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             fp.write(text)
     else:
         sys.stdout.write(text)
-    if getattr(args, "csv", None):
-        if csv_rows is None:
-            raise ParseError(f"command {args.command!r} produces no CSV series")
-        lines = [",".join(csv_header)]
-        for row in csv_rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    if csv_rows is not None and args.csv:
+        lines = ["n,value,stderr,clip_fraction", *(",".join(map(str, row)) for row in csv_rows)]
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fp:
             fp.write("\n".join(lines) + "\n")
     return 2 if report.get("flags") else 0
@@ -163,8 +157,7 @@ def _cmd_green(args, seed):
     f = _load_map(args)
     pts = fs_points(args.samples, seed)
     values = green_batch(f, pts, tol=args.tol)
-    n = _tail_n(f, args.tol)
-    tail = _tail_bound(f, n)
+    n, tail = _tail(f, args.tol)
     rows = [
         {"point": _point_json(ProjPoint(x)), "value": value, "n_used": n, "tail_bound": tail}
         for x, value in zip(pts, values.tolist())
@@ -183,6 +176,8 @@ def _cmd_green(args, seed):
 
 
 def _cmd_mult(args, seed):
+    if args.samples < 0:
+        raise ValueError("--samples must be non-negative")
     f = _load_map(args)
     points = [p for p, _ in f.fixed_points()]
     if args.samples:
@@ -226,7 +221,6 @@ def _cmd_invariants(args, seed):
     report = {
         "command": "invariants",
         "degree": f.degree,
-        "horizon": max(args.n, 2),
         "seed": seed,
         "lines": [
             {
@@ -269,6 +263,7 @@ def _cmd_classify(args, seed):
 
 def _cmd_equidist(args, seed):
     f = _load_map(args)
+    _require_power(f, args.n, f"--n {args.n}")
     phi = parse_poly(args.curve)
     rep = equidist_distance(f, phi, args.n, args.samples, seed, tol=args.tol)
     flags = [
@@ -301,7 +296,7 @@ def _cmd_equidist(args, seed):
     csv_rows = [
         (row.n, row.l1_distance, row.stderr, row.clip_fraction) for row in rep.per_n
     ]
-    return _emit(args, report, csv_rows, ("n", "value", "stderr", "clip_fraction"))
+    return _emit(args, report, csv_rows)
 
 
 def _jacobian_chart_potential(f, chart):
@@ -367,6 +362,7 @@ def _cmd_volume(args, seed):
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     f = _load_map(args)
+    _require_power(f, 2 * args.n, f"--n {args.n}")  # the Jacobian bound divides by d^2n
     chart = CHART_INDEX[args.chart]
     rows = [
         {
@@ -393,7 +389,7 @@ def _cmd_volume(args, seed):
         "flags": flags,
     }
     csv_rows = [(r["n"], r["occupancy"], r["jacobian_stderr"], 0.0) for r in rows]
-    return _emit(args, report, csv_rows, ("n", "value", "stderr", "clip_fraction"))
+    return _emit(args, report, csv_rows)
 
 
 def _cmd_gen(args, seed):

@@ -9,16 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartUndefined, DegenerateMap, DegreeMismatch, IllConditioned
-from .polys import HomogPoly3, compose_map, jacobian_det, monomial_table
-from .sampling import fs_points
+from .polys import HomogPoly3, compose_map, jacobian_det, monomial_table, n_monomials
 from .systems import macaulay_matrix, null_space_points, residuals, solve_projective
-
-#: deterministic seed of the sphere samples behind ``lognorm_sup``
-_CERT_SEED = 20240801
-
-#: sphere samples and safety factor of the sup-sphere log-norm estimate
-_LOGNORM_SAMPLES = 10**4
-_LOGNORM_SAFETY = 1.5
 
 #: least singular value of the row-normalised Macaulay matrix of a nondegenerate map
 _MACAULAY_FLOOR = 1e-10
@@ -149,6 +141,8 @@ class ProjMap:
     """A nondegenerate triple of degree-d homogeneous forms acting on the plane."""
 
     def __init__(self, components, nondegeneracy_residual):
+        """nondegeneracy_residual must be the sigma that ``validate`` computes for
+        these components: ``lognorm_sup`` turns it into a bound."""
         self.components = tuple(components)
         self.degree = self.components[0].degree
         self.nondegeneracy_residual = float(nondegeneracy_residual)
@@ -222,12 +216,18 @@ class ProjMap:
             raise ValueError("n must be >= 1")
         return self.components if n == 1 else compose_map(self.iterate_lift(n - 1), self.components)
 
-    @once_per_map
     def lognorm_sup(self) -> float:
-        """Safety-padded sup-sphere estimate of |log ||F|| | on unit vectors."""
-        pts = fs_points(_LOGNORM_SAMPLES, _CERT_SEED)
-        lognorms, _ = _unit_rows(self.lift(pts))
-        return float(np.max(np.abs(lognorms))) * _LOGNORM_SAFETY
+        """A bound on |log ||F|| | on the unit sphere from the 2-norms |F_i| and validate's sigma.
+
+        |F_i(x)| <= |F_i|; at the degree-D monomials v(x), D = 3d - 2, the Macaulay rows x^a F_i / |F_i|
+        give sum_i |F_i(x)|^2 / |F_i|^2 >= sigma^2 |v(x)|^2 >= sigma^2 C(D + 2, 2) / 3^D (h_D is
+        Schur-convex).  sigma drops by the SVD's error, a few eps |M|_F, with |M|_F = sqrt(rows).
+        """
+        d, D = self.degree, 3 * self.degree - 2
+        norms = [np.linalg.norm(p.coeffs) for p in self.components]
+        sigma = self.nondegeneracy_residual - 4 * np.finfo(float).eps * np.sqrt(3 * n_monomials(D - d))
+        lower = np.log(min(norms) * sigma) + 0.5 * np.log(n_monomials(D) / 3**D)
+        return float(max(abs(0.5 * np.log(sum(n * n for n in norms))), abs(lower)))
 
     def __repr__(self):
         return f"ProjMap(d={self.degree}, [{', '.join(p.to_string() for p in self.components)}])"

@@ -1,10 +1,10 @@
 """Green potentials, curve-pullback potentials, weighted densities, volumes.
 
 The dynamical Green function is computed through the renormalized log-norm
-recurrence with a geometric tail estimated from a padded sample of |log ||F|| |,
-which is not yet a bound; curve potentials are the normalized pullback
-potentials of plane curves, whose L1 distance to the Green function measures
-equidistribution of the pulled-back curve currents.
+recurrence with a geometric tail bound from ``ProjMap.lognorm_sup``; curve
+potentials are the normalized pullback potentials of plane curves, whose L1
+distance to the Green function measures equidistribution of the pulled-back
+curve currents.
 Weighted (directional) density estimates and sublevel-volume experiments use
 seeded Monte Carlo sampling throughout.
 
@@ -33,7 +33,7 @@ class GreenEval:
     value: float
     n_used: int
     tail_bound: float
-    sup_log: float  # safety-padded sup-sphere estimate of |log ||F|| |
+    sup_log: float  # bound on |log ||F|| | over unit vectors (ProjMap.lognorm_sup)
 
 
 @dataclass
@@ -68,32 +68,35 @@ def _require_finite(name, value):
         raise ValueError(f"{name} must be finite")
 
 
-def _tail_n(f: ProjMap, tol: float) -> int:
+def _require_power(f: ProjMap, e: int, arg: str):
+    """Refuse arg (name = value) when d^e, and so the log-norm sums of e steps, overflow a float."""
+    if e * math.log2(f.degree) >= 1024:
+        raise ValueError(f"{arg} needs {f.degree}^{e}, which overflows a float")
+
+
+def _tail(f: ProjMap, tol: float) -> tuple:
+    """(n, tail): the fewest steps n whose geometric tail M d^-n / (d - 1), M =
+    ``f.lognorm_sup()``, is at most tol, and that tail."""
     _require_finite("tol", tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    M = f.lognorm_sup()
-    d = f.degree
-    return max(1, int(math.ceil(math.log(max(M / ((d - 1) * tol), 1.0)) / math.log(d))))
-
-
-def _tail_bound(f: ProjMap, n: int) -> float:
-    """The geometric tail M d^-n / (d - 1) after n steps, M = ``f.lognorm_sup()``."""
-    return f.lognorm_sup() * f.degree ** (-n) / (f.degree - 1)
+    M, d = f.lognorm_sup(), f.degree
+    n = max(1, math.ceil((math.log(M / (d - 1)) - math.log(tol)) / math.log(d)))
+    _require_power(f, n, f"tol = {tol!r}")
+    return n, M * d ** (-n) / (d - 1)
 
 
 def green(f: ProjMap, x: ProjPoint, tol: float = 1e-6) -> GreenEval:
-    """Green function value at x, the one-row case of ``green_batch``, with a
-    geometric tail estimate from the sampled ``ProjMap.lognorm_sup``, which can
-    fall below the true sup: not a bound."""
-    n = _tail_n(f, tol)
+    """Green function value at x, the one-row case of ``green_batch``, with the
+    geometric tail bound M d^-n / (d - 1), M = ``ProjMap.lognorm_sup()``."""
+    n, tail = _tail(f, tol)
     a, _ = _orbit_arrays(f, x.coords[None, :], n)
-    return GreenEval(float(a[-1, 0] / f.degree**n), n, _tail_bound(f, n), f.lognorm_sup())
+    return GreenEval(float(a[-1, 0] / f.degree**n), n, tail, f.lognorm_sup())
 
 
 def green_batch(f: ProjMap, points: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Vectorized Green values over an (N, 3) array of unit representatives."""
-    n = _tail_n(f, tol)
+    n, _ = _tail(f, tol)
     a, _ = _orbit_arrays(f, points, n)
     return a[-1] / f.degree**n
 
@@ -187,7 +190,7 @@ def equidist_distance(
     _check_curve(phi)
     d = f.degree
     k = phi.degree
-    n_green = max(n_max, _tail_n(f, tol))
+    n_green = max(n_max, _tail(f, tol)[0])
     pts = fs_points(samples, seed)
     a, absphi = _orbit_arrays(f, pts, n_green, phi, n_max)
     g = a[-1] / d**n_green

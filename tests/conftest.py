@@ -5,6 +5,7 @@ from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, pa
 from greenp2.errors import GreenP2Error
 from greenp2.polys import HomogPoly3, monomial_exponents, n_monomials
 from greenp2.roots import roots_univariate
+from greenp2.systems import macaulay_matrix, solve_projective
 
 
 def make_map(*exprs):
@@ -39,6 +40,13 @@ def cold(f):
     return ProjMap(f.components, f.nondegeneracy_residual)
 
 
+def with_own_sigma(comps):
+    """ProjMap(comps, sigma) with sigma the least singular value of the forms' own
+    Macaulay matrix: the SVD that ProjMap.validate runs, without its refusal."""
+    M = macaulay_matrix(comps, 3 * comps[0].degree - 2)
+    return ProjMap(comps, np.linalg.svd(M, compute_uv=False)[-1])
+
+
 def random_valid_map(rng, d=2):
     while True:
         comps = [
@@ -61,7 +69,7 @@ def conjugate(f, A):
     inv = np.linalg.inv(A)
     comps = [moved[0].scale(inv[i, 0]) + moved[1].scale(inv[i, 1]) + moved[2].scale(inv[i, 2])
              for i in range(3)]
-    return ProjMap(comps, f.nondegeneracy_residual)
+    return with_own_sigma(comps)
 
 
 def conjugated_row(row, d, s, unitary=False):
@@ -72,6 +80,17 @@ def conjugated_row(row, d, s, unitary=False):
     if unitary:
         A = np.linalg.qr(A)[0]
     return conjugate(configuration_map(row, d, 1000), A), A
+
+
+def two_form_zeros(f):
+    """The d^2 unit common zeros of two combinations of f's components by a seeded
+    unitary U.  There ||F|| is the modulus of the third combination, so log ||F||
+    reaches far below its values at random points."""
+    d, F = f.degree, f.components
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    G = [F[0].scale(u[0]) + F[1].scale(u[1]) + F[2].scale(u[2]) for u in U[:2]]
+    return solve_projective(G, 2 * d - 1, d * d)[0]
 
 
 def structure_maps():

@@ -180,6 +180,40 @@ class TestCommands:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: --samples must be at least 1\n"
 
+    def test_mult_refuses_negative_samples(self, power_path, capsys):
+        """numpy's "negative dimensions are not allowed" named no option."""
+        code = run(["mult", "--map", power_path, "--samples", "-3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --samples must be non-negative\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["green", "--tol", "1e-320"], "tol = 1e-320 needs 2^1063"),
+            (["equidist", "--n", "1100"], "--n 1100 needs 2^1100"),
+            (["volume", "--n", "1100"], "--n 1100 needs 2^2200"),
+        ],
+    )
+    def test_refuses_steps_beyond_float_range(self, power_path, capsys, argv, message):
+        """Each died with an OverflowError traceback from d**n."""
+        code = run([argv[0], "--map", power_path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}, which overflows a float\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["invariants", "--n", "3"], ["classify", "--csv", "x.csv"], ["green", "--csv", "x.csv"]],
+    )
+    def test_options_that_did_nothing_are_gone(self, power_path, capsys, argv):
+        """invariants --n only set a report field; --csv on a command without a series
+        printed the report and then exited 1."""
+        with pytest.raises(SystemExit) as info:
+            run([argv[0], "--map", power_path, *argv[1:]])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_volume_rows_equal_per_n_volume_decay(self, power_path, capsys):
         code = run(["volume", "--map", power_path, "--n", "3", "--samples", "500",
                     "--chart", "z", "--point", "0.2,0.1j", "--seed", "4"])
@@ -214,6 +248,7 @@ class TestCommands:
         assert code == 0
         assert len(out["lines"]) == 3 and len(out["points"]) == 3
         assert out["transition"]["rho"] == pytest.approx(2.0, abs=1e-8)
+        assert "horizon" not in out
 
     def test_mult_report(self, power_path, capsys):
         code = run(["mult", "--map", power_path, "--n", "2"])
@@ -292,6 +327,16 @@ class TestPipelineAndDeterminism:
         for line in lines[1:4]:
             fields = line.split(",")
             assert len(fields) == 4 and "." in fields[1]
+
+    def test_volume_csv_rows(self, power_path, tmp_path):
+        csv_path = tmp_path / "volume.csv"
+        r = run_cli(["volume", "--map", power_path, "--n", "2", "--samples", "300", "--seed", "2",
+                     "--csv", str(csv_path)])
+        assert r.returncode == 0
+        want = [["n", "value", "stderr", "clip_fraction"]] + [
+            [str(x["n"]), repr(x["occupancy"]), repr(x["jacobian_stderr"]), "0.0"] for x in json.loads(r.stdout)["rows"]
+        ]
+        assert [line.split(",") for line in csv_path.read_text().splitlines()] == want
 
     def test_default_seed_from_env(self, power_path):
         a = run_cli(["green", "--map", power_path, "--samples", "2"])

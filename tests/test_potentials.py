@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import table_reference
-from conftest import random_valid_map
+from conftest import random_valid_map, two_form_zeros
 from occupancy_reference import loop_grid_occupancy
 from greenp2 import CONFIGURATION_IDS, HomogPoly3, ProjPoint, configuration_map, lattes_map, parse_poly
 from greenp2.errors import FitUnstable, OnCurve
@@ -20,7 +20,7 @@ from greenp2.potentials import (
     _grid_occupancy,
     _orbit_arrays,
     _orbit_log_jacobian,
-    _tail_n,
+    _tail,
     curve_potential,
     equidist_distance,
     green,
@@ -90,13 +90,33 @@ class TestGreen:
         with pytest.raises(ValueError, match="tol must be finite"):
             equidist_distance(power_map, parse_poly("z+w+2t"), 2, 50, seed=3, tol=tol)
 
+    def test_within_tol_at_preimage_chains_of_a_witness(self):
+        """On 1-0 at d = 4, y_k with f^k(y_k) = x for k = 1..10, x the two-form zero
+        of least ||F||: the orbit of y_k meets x at step k.  With the sampled sup
+        as M the values missed a reference at tol / 1000 by up to 2.06 tol."""
+        f = configuration_map("1-0", 4, 1000)
+        zeros = two_form_zeros(f)
+        chain = [ProjPoint(zeros[np.argmax(np.abs(_unit_rows(f.lift(zeros))[0]))])]
+        for _ in range(10):
+            chain.append(f.preimages(chain[-1]).preimages[0][0])
+        X = np.array([p.coords for p in chain[1:]])
+        for tol in 10.0 ** -np.arange(2, 8.25, 0.25):
+            assert np.all(np.abs(green_batch(f, X, tol) - green_batch(f, X, tol * 1e-3)) <= tol)
+
+    def test_refuses_tol_beyond_float_range(self, power_map):
+        """A subnormal tol needs more steps than d^n holds; it raised OverflowError."""
+        for tol in (1e-320, 1e-310):
+            with pytest.raises(ValueError, match=rf"tol = {tol!r} needs 2\^10[0-9]{{2}}, which overflows a float"):
+                green_batch(power_map, fs_points(5, 11), tol=tol)
+        assert _tail(power_map, 1e-300)[0] < 1024
+
     def test_scalar_is_one_row_batch(self, worked_map):
         """green(f, x) is green_batch on the one row of x's coordinates, bit for bit."""
         for x in fs_points(10, 12):
             p = ProjPoint(x)
             ev = green(worked_map, p, tol=1e-8)
             assert ev.value == green_batch(worked_map, p.coords[None, :], tol=1e-8)[0]
-            assert ev.n_used == _tail_n(worked_map, 1e-8)
+            assert ev.n_used == _tail(worked_map, 1e-8)[0]
 
 
 class TestCurvePotential:
@@ -180,8 +200,7 @@ class TestEquidist:
         complex triples per sample (a 51 MB peak); the blocked walk keeps 10
         log-norm (steps 0..8 and the last) and 9 |phi| floats per sample."""
         phi = parse_poly("z+w+2t")
-        power_map.lognorm_sup()
-        assert _tail_n(power_map, 1e-12) >= 35
+        assert _tail(power_map, 1e-12)[0] >= 35
         tracemalloc.start()
         try:
             equidist_distance(power_map, phi, 8, 20000, seed=1, tol=1e-12)
@@ -432,7 +451,7 @@ def _orbit_arrays_reference(f, points, n):
 def _equidist_rows_reference(f, phi, n_max, samples, seed, tol):
     """equidist_distance rows as (n, l1_distance, stderr, clip_fraction) over that pass."""
     d, k = f.degree, phi.degree
-    n_green = max(n_max, _tail_n(f, tol))
+    n_green = max(n_max, _tail(f, tol)[0])
     a, X = _orbit_arrays_reference(f, fs_points(samples, seed), n_green)
     g = a[n_green] / d**n_green
     rows = []
@@ -464,7 +483,7 @@ class TestOrbitBlocks:
         f = _block_map(d)
         phi = parse_poly("z+w+2t")
         X = fs_points(N, 80 + N)
-        n = _tail_n(f, 1e-6)
+        n = _tail(f, 1e-6)[0]
         a, xs = _orbit_arrays_reference(f, X, n)
         assert np.array_equal(green_batch(f, X, tol=1e-6), a[n] / d**n)
         absphi = [np.abs(phi.eval_batch(x)) for x in xs]
@@ -528,7 +547,6 @@ class TestOrbitWalk:
         """green_batch keeps two log-norm rows per point, not one per step: its peak
         over 20,000 points is the same at 5 steps as at 40."""
         X = fs_points(20000, 15)
-        power_map.lognorm_sup()
         peaks = []
         for tol in (1e-1, 1e-12):
             tracemalloc.start()
@@ -537,7 +555,7 @@ class TestOrbitWalk:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert _tail_n(power_map, 1e-12) >= 8 * _tail_n(power_map, 1e-1)
+        assert _tail(power_map, 1e-12)[0] >= 8 * _tail(power_map, 1e-1)[0]
         assert peaks[1] < 1.1 * peaks[0]
 
 
