@@ -2,11 +2,12 @@
 
 Identical configuration and seed produce byte-identical output: all
 randomness flows through explicitly seeded generators, JSON keys are sorted,
-and every numeric report carries its provenance (seed, sample counts,
-tolerances) as sibling fields.
+and every sampled report carries its provenance (seed, sample counts,
+tolerances) as sibling fields.  ``lelong`` and ``kiselman`` sample nothing:
+they read their numbers off the Taylor expansion of the Jacobian.
 
 Exit codes: 0 success, 2 when numerical-failure flags are present in an
-otherwise completed report, 1 on errors.
+otherwise completed report, 1 on errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -17,26 +18,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .errors import FitUnstable, GreenP2Error, ParseError
+from .errors import GreenP2Error, ParseError
 from .generators import CONFIGURATION_IDS, configuration_map, lattes_map
 from .invariant_sets import classify, exceptional_sets, invariant_points, transition_matrix
 from .mapfile import dump_map_json, read_map
 from .maps import ProjPoint
-from .multiplicities import orbit_report
+from .multiplicities import kiselman_number, orbit_report
 from .polys import parse_poly
-from .potentials import (
-    _chart_lift,
-    _require_power,
-    _tail,
-    equidist_distance,
-    green_batch,
-    kiselman_estimate,
-    lelong_estimate,
-    volume_sweep,
-)
+from .potentials import _require_power, _tail, equidist_distance, green_batch, volume_sweep
 from .sampling import fs_points
 
 CHART_INDEX = {"z": 0, "w": 1, "t": 2}
@@ -299,50 +289,22 @@ def _cmd_equidist(args, seed):
     return _emit(args, report, csv_rows)
 
 
-def _jacobian_chart_potential(f, chart):
-    J = f.lift_jacobian
-    scale = max(J.coeff_norm, 1e-300)
-
-    def u(pts):
-        return np.log(np.abs(J.eval_batch(_chart_lift(pts, chart))) / scale + 1e-300)
-
-    return u
-
-
 def _cmd_lelong(args, seed):
     f = _load_map(args)
-    chart = CHART_INDEX[args.chart]
-    u = _jacobian_chart_potential(f, chart)
-    flags = []
-    try:
-        est = lelong_estimate(u, args.point, seed=seed)
-    except FitUnstable as exc:
-        est = float("nan")
-        flags.append(f"fit_unstable: {exc}")
     report = {
         "command": "lelong",
         "degree": f.degree,
         "potential": "log|Jacobian|",
         "chart": args.chart,
         "point": [_cnum(c) for c in args.point],
-        "seed": seed,
-        "estimate": est,
-        "flags": flags,
+        "estimate": kiselman_number(f.lift_jacobian, CHART_INDEX[args.chart], args.point),
+        "flags": [],
     }
     return _emit(args, report)
 
 
 def _cmd_kiselman(args, seed):
     f = _load_map(args)
-    chart = CHART_INDEX[args.chart]
-    u = _jacobian_chart_potential(f, chart)
-    flags = []
-    try:
-        est = kiselman_estimate(u, args.point, args.alpha, seed=seed)
-        value, resid = est.slope, est.fit_residual
-    except FitUnstable as exc:
-        value, resid = float("nan"), float("nan")
-        flags.append(f"fit_unstable: {exc}")
     report = {
         "command": "kiselman",
         "degree": f.degree,
@@ -350,10 +312,8 @@ def _cmd_kiselman(args, seed):
         "chart": args.chart,
         "point": [_cnum(c) for c in args.point],
         "weights": list(args.alpha),
-        "seed": seed,
-        "estimate": value,
-        "fit_residual": resid,
-        "flags": flags,
+        "estimate": kiselman_number(f.lift_jacobian, CHART_INDEX[args.chart], args.point, args.alpha),
+        "flags": [],
     }
     return _emit(args, report)
 
@@ -422,8 +382,12 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # a usage error, reported by argparse; --help and --version exit 0
+            return 1
+        raise
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         return _COMMANDS[args.command](args, seed)

@@ -45,10 +45,6 @@ class GenerationFailed(GreenP2Error):
     """Random map generation kept producing degenerate candidates."""
 
 
-class ConstructionDegenerate(GreenP2Error):
-    """A structured map construction lost degree; internal bug guard."""
-
-
 class FitUnstable(GreenP2Error):
     """A slope fit has residual above the acceptance threshold."""
 

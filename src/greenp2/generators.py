@@ -4,8 +4,7 @@ Configuration maps realize each known exceptional-set layout with random
 unit-disk coefficients in the free entries.  The Lattes construction builds
 the symmetric-square quotient of a product of one-dimensional Lattes maps: a
 plane point encodes the coefficient triple of a binary quadratic, and the
-image triple comes from a resultant against the graph form of the
-one-variable map.
+image triple is a closed form in the power sums of its roots' images.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import ConstructionDegenerate, DegenerateMap, GenerationFailed
+from .errors import DegenerateMap, GenerationFailed
 from .maps import ProjMap
-from .polys import HomogPoly3, monomial_exponents, n_monomials, sylvester_matrix
+from .polys import HomogPoly3, monomial_exponents, n_monomials
 
 CONFIGURATION_IDS = (
     "1-0",
@@ -134,50 +133,23 @@ def lattes_map(d: int = 2) -> ProjMap:
     """Symmetric-square quotient of the product Lattes map on the plane.
 
     Plane coordinates (z, w, t) encode the binary quadratic z X^2 + w XY + t Y^2
-    whose root pair is the unordered point pair.  The image triple is read off
-    the resultant of the quadratic against the graph form of the line map, so
-    its coefficients are degree-d forms in (z, w, t).
+    whose roots r1, r2 (in X/Y) are the unordered point pair, and the image
+    quadratic has roots R(r1), R(r2) for R(x) = ((x - 2)/x)^d.  Cleared of
+    denominators its coefficients are t^d, -(a^d + b^d) and (4z + 2w + t)^d,
+    where a = z r1 (r2 - 2) and b = z r2 (r1 - 2) have a + b = 2(w + t) and
+    ab = t(4z + 2w + t); the power sum a^d + b^d follows from these by
+    Newton's recursion p_k = (a + b) p_(k-1) - ab p_(k-2).
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    num, den = lattes_rational_coeffs(d)
-
-    m = n_monomials(d)
-    rng = np.random.default_rng(5150)
-    n_samples = 3 * m
-    abc = rng.standard_normal((n_samples, 3)) + 1j * rng.standard_normal((n_samples, 3))
-    abc /= np.linalg.norm(abc, axis=1)[:, None]
-
-    # graph forms V*num(X) - U*den(X) (affine Y=1, ascending in X) at
-    # (U, V) = (1, 0), (0, 1), (1, 1); each image coefficient comes from the
-    # formal resultant in X of aX^2+bX+c against them
-    graphs = [(V * num[::-1] - U * den[::-1])[None, :] for U, V in ((1, 0), (0, 1), (1, 1))]
-    vals = np.zeros((n_samples, 3), dtype=complex)
-    for s in range(n_samples):
-        q = abc[s, ::-1][None, :]  # c + bX + aX^2
-        d10, d01, d11 = (_sylvester_dets(q, g, [0.0])[0] for g in graphs)
-        vals[s] = (d10, d11 - d10 - d01, d01)  # coefficients of U^2, UV, V^2
-
-    exps = monomial_exponents(d)
-    V = np.ones((n_samples, m), dtype=complex)
-    for col, (i, j, k) in enumerate(exps):
-        V[:, col] = abc[:, 0] ** i * abc[:, 1] ** j * abc[:, 2] ** k
-    coeffs, residuals, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    fit_err = float(np.max(np.abs(V @ coeffs - vals)))
-    scale = float(np.max(np.abs(vals)))
-    if fit_err > 1e-8 * max(scale, 1.0):
-        raise ConstructionDegenerate(f"resultant interpolation residual {fit_err:.2e}")
-
-    comps = []
-    for col in range(3):
-        c = coeffs[:, col].copy()
-        rounded = np.round(c.real) + 1j * np.round(c.imag)
-        c = np.where(np.abs(c - rounded) < 1e-6 * max(scale, 1.0), rounded, c)
-        c[np.abs(c) < 1e-9 * max(scale, 1.0)] = 0.0
-        comps.append(HomogPoly3(d, c))
-    if any(p.coeff_norm == 0 for p in comps):
-        raise ConstructionDegenerate("a quotient component vanished")
-    return ProjMap.validate(tuple(comps))
+    z, w, t = (HomogPoly3.variable(i) for i in range(3))
+    s = z.scale(4.0) + w.scale(2.0) + t
+    e1, e2 = (w + t).scale(2.0), t * s
+    p_prev, p = HomogPoly3(0, [2.0]), e1
+    for _ in range(d - 1):
+        p_prev, p = p, e1 * p - e2 * p_prev
+    # 0.0 - c, not -c, which would write -0.0 entries
+    return ProjMap.validate((t.power(d), HomogPoly3(d, 0.0 - p.coeffs), s.power(d)))
 
 
 def lattes_root_pair_image(d: int, z1: complex, z2: complex):
@@ -193,16 +165,3 @@ def lattes_root_pair_image(d: int, z1: complex, z2: complex):
     n2, d2 = ratio(z2)
     # (d1 X - n1 Y)(d2 X - n2 Y) up to scale
     return np.array([d1 * d2, -(d1 * n2 + d2 * n1), n1 * n2], dtype=complex)
-
-
-def _sylvester_dets(A, B, s_values):
-    """Sylvester determinants in v of A(s, v) and B(s, v) at each s value.
-
-    Rows of A and B index powers of s and columns powers of v; the formal
-    v-degrees are the column counts minus one.
-    """
-    s = np.asarray(s_values)
-    V = np.vander(s, max(A.shape[0], B.shape[0]), increasing=True)
-    Av = V[:, : A.shape[0]] @ A
-    Bv = V[:, : B.shape[0]] @ B
-    return np.linalg.det(sylvester_matrix(Av, Bv))

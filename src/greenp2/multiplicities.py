@@ -454,8 +454,26 @@ def inequality_report(report: MultiplicityReport, d: int) -> dict:
 # -- direct routes on composed lifts (independent of the orbit machinery) --------
 
 
-def _significant_order(series) -> int:
-    return vanishing_order(series, abs_floor=1e-11 * max(series.max_abs(), 1e-300))
+def _significant_order(series, weights=(1, 1)):
+    return vanishing_order(series, abs_floor=1e-11 * max(series.max_abs(), 1e-300), weights=weights)
+
+
+def kiselman_number(poly, chart: int, point, weights=(1.0, 1.0)) -> float:
+    """Kiselman number of log|poly| at the point of ``chart`` with weights (a1, a2).
+
+    It is the least a2 i + a1 j over the significant Taylor coefficients
+    u^i v^j of poly there (``kiselman_estimate``'s weighting: log|u| has
+    number a2), read from the expansion to poly's degree, which is exact; at
+    weights (1, 1) it is the Lelong number ord_p(poly).
+    """
+    a1, a2 = float(weights[0]), float(weights[1])
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        raise ValueError("weights must be finite")
+    if a1 <= 0 or a2 <= 0:
+        raise ValueError("weights must be positive")
+    if not np.all(np.isfinite(np.asarray(point, dtype=complex))):
+        raise ValueError("point must be finite")
+    return float(_significant_order(recenter_taylor(poly, chart, point, poly.degree), (a1, a2)))
 
 
 def _poly_taylor_order(poly, chart, center, trunc) -> int:

@@ -161,6 +161,7 @@ def curve_potential(f: ProjMap, phi: HomogPoly3, n: int, x: ProjPoint) -> float:
     """Normalized pullback potential of the curve {phi = 0} at x after n steps:
     the one-row case of the walk ``equidist_distance`` takes."""
     _check_curve(phi)
+    _require_power(f, n, f"n = {n}")
     k = phi.degree
     a, absphi = _orbit_arrays(f, x.coords[None, :], n, phi, n)
     val = absphi[n, 0]
@@ -188,6 +189,7 @@ def equidist_distance(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     _check_curve(phi)
+    _require_power(f, n_max, f"n_max = {n_max}")
     d = f.degree
     k = phi.degree
     n_green = max(n_max, _tail(f, tol)[0])
@@ -339,6 +341,7 @@ def volume_decay(
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    _require_power(f, 2 * n, f"n = {n}")  # the Jacobian bound divides by d^2n
     log_lift_norms, X = _ball_lift(ball, samples, seed, grid)
     *_, state = _orbit_log_jacobian(f, X, n)
     return _volume_report(f, ball, n, samples, seed, grid, log_lift_norms, *state)
@@ -354,6 +357,7 @@ def volume_sweep(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    _require_power(f, 2 * n_max, f"n_max = {n_max}")
     log_lift_norms, X = _ball_lift(ball, samples, seed, grid)
     steps = _orbit_log_jacobian(f, X, n_max)
     next(steps)  # step 0

@@ -176,30 +176,30 @@ def recenter_taylor(poly, chart: int, center, trunc: int) -> AffineSeries2:
     return AffineSeries2(trunc, coeffs=shifted, base_point=center)
 
 
-def vanishing_order(s: AffineSeries2, rel_tol: float = EPS_COEF, abs_floor: float = 0.0) -> int:
-    """Smallest total degree carrying a significant coefficient.
+def vanishing_order(s: AffineSeries2, rel_tol: float = EPS_COEF, abs_floor: float = 0.0, weights=(1, 1)):
+    """Least weighted degree a2 i + a1 j of a significant coefficient u^i v^j.
 
-    Significance is judged against the running maximum over degrees up to the
-    candidate one (graded arithmetic keeps rounding noise graded too), plus an
-    optional absolute floor supplied by callers who know the ambient scale.
+    A coefficient of total degree k is significant when it exceeds the
+    optional absolute floor, supplied by callers who know the ambient scale,
+    and rel_tol times the largest coefficient of degree <= k (graded
+    arithmetic keeps rounding noise graded too).  At the default weights
+    (1, 1) this is the smallest total degree carrying a significant
+    coefficient; at weights (a1, a2) it is the Kiselman number of log|s|
+    (Kiselman 1987) when the series is a polynomial within its truncation.
     """
-    mags = np.abs(s.coeffs)
-    deg = s.total_degrees()
-    degmax = np.zeros(s.trunc + 1)
-    for k in range(s.trunc + 1):
-        sel = deg == k
-        degmax[k] = mags[sel].max() if sel.any() else 0.0
-    running = np.maximum.accumulate(degmax)
+    n = s.trunc + 1
+    g = np.abs(_graded(s.coeffs)).reshape(n, n)  # g[k, j]: the coefficient of u^(k - j) v^j
+    running = np.maximum.accumulate(g.max(axis=1))
     if running[-1] <= 0.0:
         raise OrderExceedsTruncation(
             f"series is identically zero within truncation {s.trunc}"
         )
-    alive = (degmax > rel_tol * running) & (degmax > abs_floor)
-    if not alive.any():
+    k, j = np.nonzero((g > rel_tol * running[:, None]) & (g > abs_floor))
+    if not k.size:
         raise OrderExceedsTruncation(
             f"all retained coefficients below tolerance at truncation {s.trunc}"
         )
-    return int(np.argmax(alive))
+    return (weights[1] * (k - j) + weights[0] * j).min().item()
 
 
 def compose_poly_series(P: np.ndarray, s1: AffineSeries2, s2: AffineSeries2) -> AffineSeries2:

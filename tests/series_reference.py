@@ -2,12 +2,15 @@
 
 These are the rectangle convolution, the Horner composition and the Neumann
 reciprocal that the triangle product, the power-table composition and the
-Newton reciprocal replaced.  Tests compare the two to rounding accuracy.
+Newton reciprocal replaced.  Tests compare the two to rounding accuracy.  The
+loop over degrees of ``vanishing_order`` is the reference for the graded
+read, which must give the same integer.
 """
 
 import numpy as np
 
-from greenp2.series import AffineSeries2
+from greenp2.errors import OrderExceedsTruncation
+from greenp2.series import EPS_COEF, AffineSeries2
 
 
 def conv2(a, b):
@@ -60,3 +63,21 @@ def reciprocal_neumann(s: AffineSeries2) -> AffineSeries2:
         if term.max_abs() == 0.0:
             break
     return out.scale(1.0 / c)
+
+
+def vanishing_order_loop(s: AffineSeries2, rel_tol: float = EPS_COEF, abs_floor: float = 0.0) -> int:
+    """Smallest total degree whose largest coefficient exceeds abs_floor and
+    rel_tol times the largest coefficient of degree <= it, one degree at a time."""
+    mags = np.abs(s.coeffs)
+    deg = s.total_degrees()
+    degmax = np.zeros(s.trunc + 1)
+    for k in range(s.trunc + 1):
+        sel = deg == k
+        degmax[k] = mags[sel].max() if sel.any() else 0.0
+    running = np.maximum.accumulate(degmax)
+    if running[-1] <= 0.0:
+        raise OrderExceedsTruncation(f"series is identically zero within truncation {s.trunc}")
+    alive = (degmax > rel_tol * running) & (degmax > abs_floor)
+    if not alive.any():
+        raise OrderExceedsTruncation(f"all retained coefficients below tolerance at truncation {s.trunc}")
+    return int(np.argmax(alive))

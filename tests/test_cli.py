@@ -108,6 +108,7 @@ class TestCommands:
             (["lelong", "--point", "nan,0"], "point must be finite"),
             (["kiselman", "--point", "0,inf"], "point must be finite"),
             (["kiselman", "--alpha", "inf,1"], "weights must be finite"),
+            (["kiselman", "--alpha", "0,1"], "weights must be positive"),
         ],
     )
     def test_refuses_nonfinite_input(self, power_path, capsys, argv, message):
@@ -209,10 +210,15 @@ class TestCommands:
     def test_options_that_did_nothing_are_gone(self, power_path, capsys, argv):
         """invariants --n only set a report field; --csv on a command without a series
         printed the report and then exited 1."""
-        with pytest.raises(SystemExit) as info:
-            run([argv[0], "--map", power_path, *argv[1:]])
-        assert info.value.code == 2
+        assert run([argv[0], "--map", power_path, *argv[1:]]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--version"], ["classify", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out
 
     def test_volume_rows_equal_per_n_volume_decay(self, power_path, capsys):
         code = run(["volume", "--map", power_path, "--n", "3", "--samples", "500",
@@ -261,13 +267,15 @@ class TestCommands:
         code = run(["lelong", "--map", power_path, "--point", "0,0", "--chart", "t"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out["estimate"] == pytest.approx(2.0, abs=0.05)
+        assert out["estimate"] == 2.0
+        assert out["flags"] == [] and "seed" not in out
 
     def test_kiselman_command(self, power_path, capsys):
         code = run(["kiselman", "--map", power_path, "--point", "0,0", "--alpha", "0.5,1"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out["estimate"] == pytest.approx(1.5, abs=0.05)
+        assert out["estimate"] == 1.5
+        assert out["flags"] == [] and "seed" not in out and "fit_residual" not in out
 
     def test_missing_map_errors(self, capsys):
         code = run(["classify", "--map", "/nonexistent/map.json"])

@@ -9,6 +9,7 @@ from greenp2 import (
     exceptional_sets,
     invariant_lines,
     invariant_points,
+    lattes_map,
 )
 from greenp2.generators import lattes_root_pair_image
 
@@ -68,14 +69,16 @@ class TestLattes:
         assert invariant_lines(lattes) == []
         assert invariant_points(lattes) == []
 
-    def test_root_pair_oracle(self, lattes):
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_root_pair_oracle(self, d):
         """The quotient construction commutes with mapping unordered root pairs."""
+        f = lattes_map(d)
         rng = np.random.default_rng(0)
         for _ in range(100):
             z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             src = np.array([1.0, -(z1 + z2), z1 * z2], dtype=complex)
-            img = lattes.lift(src / np.linalg.norm(src))
-            oracle = lattes_root_pair_image(2, z1, z2)
+            img = f.lift(src / np.linalg.norm(src))
+            oracle = lattes_root_pair_image(d, z1, z2)
             k = int(np.argmax(np.abs(oracle)))
             assert np.max(np.abs(img / img[k] - oracle / oracle[k])) < 1e-8
 

@@ -10,7 +10,7 @@ from conftest import (
     sample_critical_points,
 )
 from exact_reference import jacobian_orders
-from greenp2 import ProjMap, ProjPoint, configuration_map, multiplicities, parse_poly
+from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, multiplicities, parse_poly
 from greenp2.errors import IllConditioned, OrderExceedsTruncation
 from greenp2.multiplicities import (
     _pair_contraction,
@@ -19,11 +19,13 @@ from greenp2.multiplicities import (
     inequality_report,
     jacobian_multiplicity,
     jacobian_multiplicity_direct,
+    kiselman_number,
     local_degree,
     local_degree_direct,
     local_degree_step,
     orbit_report,
 )
+from greenp2.potentials import _chart_lift, kiselman_estimate
 from greenp2.series import AffineSeries2
 from ladder_reference import ladder_local_degree
 
@@ -197,6 +199,49 @@ class TestDirectRoutes:
             (worked_map, EDGE, 3),
         ):
             assert local_degree_direct(f, p, n) == local_degree(f, p, n)
+
+
+class TestKiselmanNumber:
+    """The exact densities of log|J| that ``greenp2 lelong`` and ``kiselman`` report."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("row", CONFIGURATION_IDS)
+    def test_lelong_is_jacobian_order_at_fixed_points(self, row, d):
+        f = configuration_map(row, d, 1000)
+        points = [p for p, _ in f.fixed_points()]
+        assert len(points) == d * d + d + 1
+        for p in points:
+            chart = p.chart()
+            assert kiselman_number(f.lift_jacobian, chart, p.chart_coords(chart)) == jacobian_multiplicity(f, p, 1)
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 1.0), (1.0, 0.3)])
+    def test_axis_convention_matches_the_estimator(self, power_map, weights):
+        """J = 8uv in chart t of z^2:w^2:t^2 reads a1 + a2 at (0, 0), and the
+        factor u alone reads a2 at (0, 0.5), v alone a1 at (0.5, 0), as the
+        sampled estimate on log|J| does."""
+        J = power_map.lift_jacobian
+        a1, a2 = weights
+
+        def u(pts):
+            return np.log(np.abs(J.eval_batch(_chart_lift(pts, 2))))
+
+        for point, want in (((0, 0), a1 + a2), ((0, 0.5), a2), ((0.5, 0), a1)):
+            assert kiselman_number(J, 2, point, weights) == want
+            assert kiselman_estimate(u, point, weights).slope == pytest.approx(want, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "point, weights, message",
+        [
+            ((0, 0), (float("inf"), 1.0), "weights must be finite"),
+            ((0, 0), (float("nan"), 1.0), "weights must be finite"),
+            ((0, 0), (0.0, 1.0), "weights must be positive"),
+            ((0, 0), (1.0, -2.0), "weights must be positive"),
+            ((complex("nan"), 0), (1.0, 1.0), "point must be finite"),
+        ],
+    )
+    def test_refuses_bad_input(self, power_map, point, weights, message):
+        with pytest.raises(ValueError, match=message):
+            kiselman_number(power_map.lift_jacobian, 2, point, weights)
 
 
 class TestCocycleLaws:

@@ -148,6 +148,11 @@ class TestCurvePotential:
         with pytest.raises(ValueError, match="is constant"):
             equidist_distance(power_map, phi, 2, 50, seed=3)
 
+    def test_refuses_depth_beyond_float_range(self, power_map):
+        """d^n overflowed a float: OverflowError."""
+        with pytest.raises(ValueError, match=r"n = 1100 needs 2\^1100, which overflows a float"):
+            curve_potential(power_map, parse_poly("z+w+2t"), 1100, ProjPoint([2, 1, 1]))
+
     def test_high_depth_close_to_green(self, power_map):
         """Pullback potentials of a generic line approach the Green values."""
         rng = np.random.default_rng(11)
@@ -189,6 +194,11 @@ class TestEquidist:
     def test_refuses_negative_depth(self, power_map):
         with pytest.raises(ValueError, match="n_max"):
             equidist_distance(power_map, parse_poly("z+w+2t"), -1, 500, seed=3)
+
+    def test_refuses_depth_beyond_float_range(self, power_map):
+        """d^n_max overflowed a float: OverflowError, after the whole walk."""
+        with pytest.raises(ValueError, match=r"n_max = 1024 needs 2\^1024, which overflows a float"):
+            equidist_distance(power_map, parse_poly("z+w+2t"), 1024, 10, seed=1)
 
     @pytest.mark.parametrize("samples", [0, 1])
     def test_refuses_fewer_than_two_samples(self, power_map, samples):
@@ -336,6 +346,15 @@ class TestVolumeDecay:
     def test_jacobian_bound_below_occupancy(self, power_map):
         rep = volume_decay(power_map, (2, (1.0, 1.0), 0.1), 3, 20000, seed=9)
         assert rep.jacobian_bound <= rep.occupancy + 2 * rep.jacobian_stderr
+
+    def test_refuses_steps_beyond_float_range(self, power_map):
+        """The Jacobian bound divides by d^2n, which overflowed a float from
+        n = 512 at d = 2: OverflowError."""
+        ball = (2, (0.4, 0.3), 0.1)
+        with pytest.raises(ValueError, match=r"n = 600 needs 2\^1200, which overflows a float"):
+            volume_decay(power_map, ball, 600, 10, seed=1)
+        with pytest.raises(ValueError, match=r"n_max = 512 needs 2\^1024, which overflows a float"):
+            volume_sweep(power_map, ball, 512, 10, seed=1)
 
     def test_doubly_exponential_at_invariant_point(self, power_map):
         rates = []

@@ -13,7 +13,7 @@ from greenp2.series import (
     shift_bivariate,
     vanishing_order,
 )
-from series_reference import compose_horner, product, reciprocal_neumann
+from series_reference import compose_horner, product, reciprocal_neumann, vanishing_order_loop
 
 
 def series_from(entries, trunc):
@@ -85,6 +85,42 @@ def test_vanishing_order_graded_tolerance():
     """Huge high-degree coefficients must not drown a legitimate low order."""
     s = series_from({(1, 0): 1.0, (4, 4): 1e12}, 8)
     assert vanishing_order(s) == 1
+
+
+def _read(fn, s, **kw):
+    """fn's order, or the type of error it raised."""
+    try:
+        return fn(s, **kw)
+    except OrderExceedsTruncation as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_vanishing_order_matches_loop_reference(floor):
+    """The graded read gives the loop's integer on random sparse series whose
+    coefficients span 1e-14 to 1e1, with and without absolute floors."""
+    rng = np.random.default_rng(500 + floor)
+    for _ in range(300):
+        trunc = int(rng.integers(0, 20))
+        n = trunc + 1
+        mags = 10.0 ** rng.uniform(-14, 1, (n, n)) * (rng.uniform(size=(n, n)) < 0.4)
+        s = AffineSeries2(trunc, mags * np.exp(2j * np.pi * rng.uniform(size=(n, n))))
+        kw = {"abs_floor": 10.0 ** rng.uniform(-14, -1)} if floor else {}
+        got = _read(vanishing_order, s, **kw)
+        assert got == _read(vanishing_order_loop, s, **kw)
+        assert type(got) is type(_read(vanishing_order_loop, s, **kw))
+
+
+def test_vanishing_order_weighted():
+    """At weights (a1, a2) the least a2 i + a1 j over the significant support:
+    u^3 + u v + v^4 reads 0.5 + 1 at (0.5, 1), 0.5 * 3 at (1, 0.5), and v^4
+    at (0.1, 1) once u v is dropped below the floor."""
+    s = series_from({(3, 0): 1.0, (1, 1): 1.0, (0, 4): 1.0}, 5)
+    assert vanishing_order(s, weights=(0.5, 1.0)) == 1.5
+    assert vanishing_order(s, weights=(1.0, 0.5)) == 1.5
+    assert vanishing_order(s, weights=(0.1, 0.1)) == pytest.approx(0.2)
+    s.coeffs[1, 1] = 1e-12
+    assert vanishing_order(s, abs_floor=1e-9, weights=(0.1, 1.0)) == pytest.approx(0.4)
 
 
 def test_multiplication_truncates():
