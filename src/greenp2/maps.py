@@ -146,7 +146,9 @@ class ProjMap:
         self.components = tuple(components)
         self.degree = self.components[0].degree
         self.nondegeneracy_residual = float(nondegeneracy_residual)
-        self._memo = {}  # structure that depends on the map alone; see once_per_map
+        # what depends on the map alone (once_per_map), and the reads at a critical
+        # point keyed by the point's coordinates (multiplicities._Orbit)
+        self._memo = {}
 
     # -- construction ----------------------------------------------------
 

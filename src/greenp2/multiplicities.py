@@ -17,7 +17,10 @@ orders are chart independent.
 
 Along an orbit p = q_0, ..., q_(N-1) each term is first decided by exact
 identities (``_Orbit``), and truncated series are built only for the terms
-these leave open; only those terms set the truncation.
+these leave open; only those terms set the truncation.  The reads at a
+critical point that these identities use (ord(J), the germs with their
+orders and cone, and e) are kept per map in ``f._memo``, keyed by the point's
+coordinates, so each is made once per map and point.
 
 * **Regular points.**  Where |J(q)| exceeds _CRITICAL_TOL times the largest
   coefficient of the lift Jacobian J, f is a local biholomorphism at q: its
@@ -234,25 +237,44 @@ class _Orbit:
     """The exact reads of the module docstring along the points q_0, ..., q_(N-1)
     of an orbit of p; None marks what they leave open.
 
-    One evaluation of J at every point sorts out the regular ones.  At each
-    other point the germs, their orders and the cone are read when first
-    asked for, and kept.
+    One evaluation of J at the points not yet known to be critical sorts out
+    the regular ones.  At each other point ord(J), the germs with their
+    orders and cone, and e are read when first asked for.  These reads depend
+    on the map and the point alone, so they are kept per map, keyed by the
+    point's coordinates: in ``f._memo``, where they die with f and where every
+    orbit through an equal point finds them.  A regular point keeps nothing,
+    so probing a map at many points does not grow it.
     """
 
     def __init__(self, f: ProjMap, points):
         self.f, self.points = f, points
-        J = f.lift_jacobian
-        values = J.eval_batch(np.array([q.coords for q in points]))
-        self.regular = np.abs(values) > _CRITICAL_TOL * J.coeff_norm
-        self._reads = {}
+        keys = [(_Orbit, q.coords.tobytes()) for q in points]
+        self.memos = [f._memo.get(key) for key in keys]
+        new = [i for i, memo in enumerate(self.memos) if memo is None]
+        if new:
+            J = f.lift_jacobian
+            values = J.eval_batch(np.array([points[i].coords for i in new]))
+            for i, regular in zip(new, np.abs(values) > _CRITICAL_TOL * J.coeff_norm):
+                self.memos[i] = None if regular else f._memo.setdefault(keys[i], {})
+        self.regular = [memo is None for memo in self.memos]
+
+    def _kept(self, j, name, read):
+        """read(j), made once per map and point q_j."""
+        memo = self.memos[j]
+        if name not in memo:
+            memo[name] = read(j)
+        return memo[name]
 
     def _read(self, j):
         """(germs, their orders, cone degree) at the critical point q_j."""
-        if j not in self._reads:
-            germs = _iterate_germs(self.f, self.points[j], 1)
-            orders = [_germ_order(g) for g in germs]
-            self._reads[j] = (germs, orders, _cone_degree(germs, orders))
-        return self._reads[j]
+        return self._kept(j, "germs", self._read_germs)
+
+    def _read_germs(self, j):
+        germs = tuple(_iterate_germs(self.f, self.points[j], 1))
+        for g in germs:
+            g.coeffs.flags.writeable = False  # shared by every later read at q_j
+        orders = tuple(_germ_order(g) for g in germs)
+        return germs, orders, _cone_degree(germs, orders)
 
     def cone_product(self, j, k):
         """c_j ... c_(j+k-1), with c = 1 at regular points, or None if one of the
@@ -276,6 +298,9 @@ class _Orbit:
         """e(f, q_j)."""
         if self.regular[j]:
             return 1
+        return self._kept(j, "degree", self._count)
+
+    def _count(self, j):
         germs, _, c = self._read(j)
         return c * c if c is not None else local_multiplicity(*germs)
 
@@ -283,11 +308,15 @@ class _Orbit:
         """ord_p(Jf o f^j), or None."""
         if self.regular[j]:
             return 0
-        f, q = self.f, self.points[j]
-        chart = q.chart()
-        m = _poly_taylor_order(f.lift_jacobian, chart, q.chart_coords(chart), 3 * (f.degree - 1) + 1)
+        m = self._kept(j, "jacobian_order", self._jacobian_order)
         lead = 1 if m == 0 else self.cone_product(0, j)
         return m * lead if lead is not None else self._line_term(j, m)
+
+    def _jacobian_order(self, j):
+        """ord_(q_j)(J), from J's Taylor expansion at q_j, which is exact."""
+        f, q = self.f, self.points[j]
+        chart = q.chart()
+        return _poly_taylor_order(f.lift_jacobian, chart, q.chart_coords(chart), 3 * (f.degree - 1) + 1)
 
     def _line_term(self, j, m):
         """sum m_i ord_p(l_i o F^j) over the factor lines through q_j, when their

@@ -7,6 +7,7 @@ kept at zero.  Coefficients beyond the truncation are unknown, not zero.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -156,14 +157,21 @@ def shift_bivariate(C: np.ndarray, center) -> np.ndarray:
 
 def _shift_matrix(n, c):
     # S[m, a] = binom(a, m) c^(a-m) so that (u + c)^a = sum_m S[m, a] u^m
-    S = np.zeros((n, n), dtype=complex)
     powers = np.ones(n, dtype=complex)
     for k in range(1, n):
         powers[k] = powers[k - 1] * c
-    for a in range(n):
-        for m in range(a + 1):
-            S[m, a] = comb(a, m) * powers[a - m]
-    return S
+    binomials, exponents = _pascal(n)
+    return binomials * powers[exponents]
+
+
+@lru_cache(maxsize=None)
+def _pascal(n):
+    """binom(a, m) at [m, a] (zero for m > a), and a - m clipped at 0."""
+    binomials = np.array([[comb(a, m) for a in range(n)] for m in range(n)], dtype=complex)
+    r = np.arange(n)
+    exponents = np.maximum(r[None, :] - r[:, None], 0)
+    binomials.flags.writeable = exponents.flags.writeable = False
+    return binomials, exponents
 
 
 def recenter_taylor(poly, chart: int, center, trunc: int) -> AffineSeries2:
@@ -271,20 +279,38 @@ def _degree(C) -> int:
 
 def _hilbert_samuel(germs, k: int) -> int:
     """h(k): monomials of degree <= k minus the rank of the truncated Macaulay matrix."""
+    sv = np.linalg.svd(_macaulay_matrix(germs, k), compute_uv=False)
+    return (k + 1) * (k + 2) // 2 - _numerical_rank(sv)
+
+
+def _macaulay_matrix(germs, k: int):
+    """Rows u^a v^b g, a + b < k, for each germ g, cut at degree k: one gather
+    from the germs' corners set in zero grids wide enough that every shift of a
+    corner lands inside its grid."""
+    n = k + 1
+    grids = np.zeros((len(germs), 2 * n, 2 * n), dtype=complex)
+    for grid, C in zip(grids, germs):
+        m = min(n, C.shape[0])
+        grid[n : n + m, n : n + m] = C[:m, :m]
+    columns, rows = _macaulay_offsets(k)
+    return np.take(grids.reshape(len(germs), -1), columns - rows[:, None], axis=1).reshape(-1, columns.size)
+
+
+@lru_cache(maxsize=None)
+def _macaulay_offsets(k: int):
+    """Flat offsets in a zero grid of width w = 2(k + 1) with a germ's corner at
+    (k + 1, k + 1): column u^x v^y (x + y <= k) at x w + y, and row u^a v^b
+    (a + b < k) at a w + b less the corner's, so that column minus row is where
+    the coefficient of u^(x - a) v^(y - b) sits."""
     n = k + 1
     r = np.arange(n)
     deg = r[:, None] + r[None, :]
-    a, b = np.nonzero(deg < k)  # the shifts u^a v^b
-    blocks = []
-    for C in germs:
-        Z = np.zeros((2 * n, 2 * n), dtype=complex)
-        m = min(n, C.shape[0])
-        Z[n : n + m, n : n + m] = C[:m, :m]
-        # W[x, y] = Z[x : x + n, y : y + n], so W[n - a, n - b] holds u^a v^b g
-        W = np.lib.stride_tricks.sliding_window_view(Z, (n, n))
-        blocks.append(W[n - a, n - b][:, deg <= k])
-    sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
-    return int(np.count_nonzero(deg <= k)) - _numerical_rank(sv)
+    a, b = np.nonzero(deg < k)
+    x, y = np.nonzero(deg <= k)
+    w = 2 * n
+    columns, rows = x * w + y, (a - n) * w + (b - n)
+    columns.flags.writeable = rows.flags.writeable = False
+    return columns, rows
 
 
 def _numerical_rank(sv) -> int:

@@ -4,8 +4,12 @@ These are the rectangle convolution, the Horner composition and the Neumann
 reciprocal that the triangle product, the power-table composition and the
 Newton reciprocal replaced.  Tests compare the two to rounding accuracy.  The
 loop over degrees of ``vanishing_order`` is the reference for the graded
-read, which must give the same integer.
+read, which must give the same integer.  The double loop of the Taylor shift
+matrix and the sliding-window Macaulay matrix are the references for the
+Pascal-table product and the index gather, which must give the same bytes.
 """
+
+from math import comb
 
 import numpy as np
 
@@ -81,3 +85,32 @@ def vanishing_order_loop(s: AffineSeries2, rel_tol: float = EPS_COEF, abs_floor:
     if not alive.any():
         raise OrderExceedsTruncation(f"all retained coefficients below tolerance at truncation {s.trunc}")
     return int(np.argmax(alive))
+
+
+def shift_matrix_loop(n, c):
+    """S[m, a] = binom(a, m) c^(a - m), one entry at a time."""
+    S = np.zeros((n, n), dtype=complex)
+    powers = np.ones(n, dtype=complex)
+    for k in range(1, n):
+        powers[k] = powers[k - 1] * c
+    for a in range(n):
+        for m in range(a + 1):
+            S[m, a] = comb(a, m) * powers[a - m]
+    return S
+
+
+def macaulay_windows(germs, k):
+    """The Macaulay matrix at degree k from windows of each germ padded with zeros:
+    the window at (n - a, n - b) of the padded germ holds u^a v^b g."""
+    n = k + 1
+    r = np.arange(n)
+    deg = r[:, None] + r[None, :]
+    a, b = np.nonzero(deg < k)  # the shifts u^a v^b
+    blocks = []
+    for C in germs:
+        Z = np.zeros((2 * n, 2 * n), dtype=complex)
+        m = min(n, C.shape[0])
+        Z[n : n + m, n : n + m] = C[:m, :m]
+        W = np.lib.stride_tricks.sliding_window_view(Z, (n, n))
+        blocks.append(W[n - a, n - b][:, deg <= k])
+    return np.vstack(blocks)

@@ -6,7 +6,8 @@ handler catches more than the package's own errors.  Dependency guard: the libra
 imports no third-party module but numpy.  Tooling guard: every function the benchmark
 tracer patches exists.  Cache guard: no function that takes a map carries a
 process-wide cache; per-map structure lives on the map instance, so it dies with the
-map and a cold copy recomputes it.
+map and a cold copy recomputes it.  Memo-key guard: no key of a map's memo holds a
+point or an array, since an identity key keeps its object alive and misses equal ones.
 """
 
 import ast
@@ -15,6 +16,11 @@ import importlib.util
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
+
+from greenp2 import ProjPoint, configuration_map, exceptional_sets, roots_univariate
+from greenp2.multiplicities import contraction_order, jacobian_multiplicity, local_degree_step, orbit_report
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "greenp2"
@@ -247,3 +253,27 @@ def test_tracer_targets_resolve():
         if not callable(getattr(entry, "__func__", entry)):
             missing.append(f"{target.module}:{target.path}")
     assert len(tracer.TARGETS) >= 40 and missing == []
+
+
+def _key_parts(key):
+    """Everything a memo key holds, through nested tuples."""
+    if isinstance(key, tuple):
+        for part in key:
+            yield from _key_parts(part)
+    else:
+        yield key
+
+
+def test_memo_keys_hold_values_not_objects():
+    f = configuration_map("1-1-incident", 3, 1000)
+    rng = np.random.default_rng(3)
+    for p, _ in f.fixed_points()[:3]:
+        orbit_report(f, p, 3)
+    exceptional_sets(f)
+    b1, b2 = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    for cl in roots_univariate(f.lift_jacobian.restrict_line(b1, b2)).clusters:
+        p = ProjPoint(b1 + cl.root * b2)
+        jacobian_multiplicity(f, p, 1), contraction_order(f, p, 1), local_degree_step(f, p)
+    parts = [part for key in f._memo for part in _key_parts(key)]
+    assert sum(isinstance(part, bytes) for part in parts) > 10
+    assert [part for part in parts if isinstance(part, (ProjPoint, np.ndarray))] == []

@@ -5,6 +5,7 @@ import pytest
 
 import greenp2.invariant_sets
 import greenp2.maps
+import greenp2.multiplicities
 import greenp2.roots
 from conftest import cold, conjugate, conjugated_row, make_map, random_valid_map, structure_maps
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, lattes_map, parse_poly
@@ -629,8 +630,8 @@ class TestPerMapMemo:
         assert snapshot() == first
 
     def test_memoised_arrays_are_read_only(self, worked_map):
-        """The points and forms handed out are the memo's own, so their arrays refuse
-        changes in place, and later results stay as they were, bit for bit."""
+        """The points, forms and germs handed out are the memo's own, so their arrays
+        refuse changes in place, and later results stay as they were, bit for bit."""
         f = cold(worked_map)
 
         def arrays():
@@ -643,10 +644,17 @@ class TestPerMapMemo:
                 + [c.coeffs for c in transition_matrix(f).components]
                 + [c.coeffs for c in f.iterate_lift(2)]
                 + [f.lift_jacobian.coeffs]
+                + germs()
             )
 
+        def germs():
+            """The germs kept at the totally invariant points, which are critical."""
+            points = [p for p, _ in exceptional_sets(f).e2_points]
+            return [g.coeffs for p in points for g in greenp2.multiplicities._Orbit(f, [p])._read(0)[0]]
+
         first = [a.tobytes() for a in arrays()]
-        assert len(first) > 8
+        assert len(first) > 8 and len(germs()) >= 2
+        assert all(a is b for a, b in zip(germs(), germs()))
         for a in arrays():
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cold,
     conjugate,
     conjugated_row,
     make_map,
@@ -10,7 +11,15 @@ from conftest import (
     sample_critical_points,
 )
 from exact_reference import jacobian_orders
-from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, multiplicities, parse_poly
+from greenp2 import (
+    CONFIGURATION_IDS,
+    ProjMap,
+    ProjPoint,
+    configuration_map,
+    multiplicities,
+    parse_poly,
+    roots_univariate,
+)
 from greenp2.errors import IllConditioned, OrderExceedsTruncation
 from greenp2.multiplicities import (
     _pair_contraction,
@@ -312,6 +321,102 @@ def test_lower_jacobian_bound_on_samples(power_map, worked_map):
             mu = jacobian_multiplicity(f, p, 1)
             c = contraction_order(f, p, 1)
             assert mu >= 2 * (c - 1)
+
+
+def _triple(f, p):
+    """mu, c and e at p, as criterion 03 reads them."""
+    return jacobian_multiplicity(f, p, 1), contraction_order(f, p, 1), local_degree_step(f, p)
+
+
+def _simple_critical_points(f, lines, rng):
+    """The simple roots of J on ``lines`` random lines; none where J is a product of
+    multiple lines."""
+    J = f.lift_jacobian
+    for _ in range(lines):
+        b1, b2 = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+        for cl in roots_univariate(J.restrict_line(b1, b2)).clusters:
+            if cl.multiplicity == 1:
+                yield ProjPoint(b1 + cl.root * b2)
+
+
+def _point_entries(f):
+    return [key for key in f._memo if key[0] is multiplicities._Orbit]
+
+
+class TestPointMemo:
+    """The reads at a point are kept on the map, keyed by the point's coordinates."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        calls = {"germs": 0, "counts": 0}
+        germs, count = multiplicities._iterate_germs, multiplicities.local_multiplicity
+
+        def spy_germs(*args):
+            calls["germs"] += 1
+            return germs(*args)
+
+        def spy_count(*args):
+            calls["counts"] += 1
+            return count(*args)
+
+        monkeypatch.setattr(multiplicities, "_iterate_germs", spy_germs)
+        monkeypatch.setattr(multiplicities, "local_multiplicity", spy_count)
+        return calls
+
+    def test_triple_reads_each_point_once(self, spies, power_map, worked_map):
+        """mu, c and e at a critical point expand the germs once and count e at
+        most once, however often the triple is read on one map."""
+        rng = np.random.default_rng(31)
+        f = random_valid_map(rng, d=3)
+        cases = [(cold(power_map), EDGE), (cold(power_map), CORNER), (cold(worked_map), CORNER)]
+        cases += [(f, p) for p in sample_critical_points(f, 3, rng)]
+        for g, p in cases:
+            before = dict(spies)
+            first = _triple(g, p)
+            assert _triple(g, p) == first
+            assert spies["germs"] - before["germs"] == 1
+            assert spies["counts"] - before["counts"] <= 1
+        assert spies["counts"] >= 4  # EDGE and the sampled points need the count
+
+    def test_equal_points_share_the_reads(self, spies, power_map):
+        """The orbit of [1:0:1] under z^2 : w^2 : t^2 alternates between two
+        coordinate vectors, so a report at horizon 4 reads two points."""
+        f = cold(power_map)
+        orbit_report(f, EDGE, 4)
+        assert spies == {"germs": 2, "counts": 2}
+        assert len(_point_entries(f)) == len({q.coords.tobytes() for q in f.orbit(EDGE, 3)}) == 2
+
+    def test_warm_map_matches_cold_maps(self):
+        """At the criterion-03 points (simple roots of J on random lines) of every
+        row at d = 2, 3, the triple read on one map, which keeps its reads,
+        equals the triple from three cold maps."""
+        rng = np.random.default_rng(303)
+        checked = 0
+        for d in (2, 3):
+            for row in CONFIGURATION_IDS:
+                f = configuration_map(row, d, 1000)
+                for p in _simple_critical_points(f, 2, rng):
+                    cold_triple = (
+                        jacobian_multiplicity(cold(f), p, 1),
+                        contraction_order(cold(f), p, 1),
+                        local_degree_step(cold(f), p),
+                    )
+                    assert _triple(f, p) == _triple(f, p) == cold_triple, (row, d)
+                    checked += 1
+        assert checked >= 80
+
+    def test_cold_copy_starts_without_point_entries(self, spies, power_map):
+        """Critical points keep their reads on the map, regular ones keep none,
+        and a cold copy starts with none."""
+        f = cold(power_map)
+        orbit_report(f, CORNER, 2)
+        _triple(f, EDGE)
+        _triple(f, DIAG)
+        assert len(_point_entries(f)) == 2
+        g = cold(f)
+        assert _point_entries(g) == []
+        _triple(g, EDGE)
+        assert spies["germs"] == 3
 
 
 def test_local_degree_step_stability(power_map):

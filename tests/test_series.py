@@ -7,13 +7,22 @@ from greenp2.multiplicities import orbit_report
 from greenp2.polys import parse_poly
 from greenp2.series import (
     AffineSeries2,
+    _macaulay_matrix,
+    _shift_matrix,
     compose_poly_series,
     local_multiplicity,
     recenter_taylor,
     shift_bivariate,
     vanishing_order,
 )
-from series_reference import compose_horner, product, reciprocal_neumann, vanishing_order_loop
+from series_reference import (
+    compose_horner,
+    macaulay_windows,
+    product,
+    reciprocal_neumann,
+    shift_matrix_loop,
+    vanishing_order_loop,
+)
 
 
 def series_from(entries, trunc):
@@ -282,3 +291,41 @@ class TestLocalMultiplicity:
     def test_zero_germ_raises(self):
         with pytest.raises(PositiveDimensional):
             local_multiplicity(AffineSeries2(4), series_from({(1, 0): 1.0}, 4))
+
+
+def test_shift_matrix_matches_the_loop():
+    """The Pascal-table product gives the bytes of the entry-by-entry loop,
+    signed zeros included, for centres of every scale and on the axes."""
+    rng = np.random.default_rng(17)
+    centres = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), 1.0, -1j]
+    for _ in range(400):
+        re, im = rng.standard_normal(2) * 10.0 ** rng.integers(-8, 9, size=2)
+        centres += [complex(re, im), complex(re, 0.0), complex(0.0, im)]
+    for c in centres:
+        for n in (1, 2, 4, int(rng.integers(1, 17))):
+            assert _shift_matrix(n, c).tobytes() == shift_matrix_loop(n, c).tobytes(), (n, c)
+
+
+def _random_germ(rng, trunc):
+    """Coefficients of a germ to degree ``trunc``: zero constant term, zeros past
+    the truncation, and a share of negative zeros inside it."""
+    C = rng.standard_normal((trunc + 1, trunc + 1)) + 1j * rng.standard_normal((trunc + 1, trunc + 1))
+    C[rng.random(C.shape) < 0.2] = -0.0
+    r = np.arange(trunc + 1)
+    C[r[:, None] + r[None, :] > trunc] = 0.0
+    C[0, 0] = 0.0
+    return C
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_macaulay_gather_matches_the_windows(k):
+    """The index gather builds the sliding-window matrix byte for byte, for germs
+    truncated below k, at k and above it, where both cut the germ to k + 1 rows."""
+    rng = np.random.default_rng(500 + k)
+    truncs = sorted({1, max(1, k // 2), max(1, k - 1), k, k + 1, k + 4})
+    for _ in range(4):
+        for t1 in truncs:
+            germs = [_random_germ(rng, t1), _random_germ(rng, int(rng.choice(truncs)))]
+            built = _macaulay_matrix(germs, k)
+            assert built.shape == (k * (k + 1), (k + 1) * (k + 2) // 2)
+            assert built.tobytes() == macaulay_windows(germs, k).tobytes()
