@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ChartUndefined,
-    ComponentInvalid,
     DegenerateMap,
     DegreeMismatch,
     FitUnstable,
@@ -32,7 +31,6 @@ from .invariant_sets import (
     invariant_lines,
     invariant_orbits,
     invariant_points,
-    line_restriction,
     transition_matrix,
 )
 from .mapfile import dump_map_json, map_from_dict, map_to_dict, read_map
@@ -40,12 +38,9 @@ from .maps import Fiber, ProjMap, ProjPoint
 from .multiplicities import (
     MultiplicityReport,
     contraction_order,
-    contraction_order_direct,
     inequality_report,
     jacobian_multiplicity,
-    jacobian_multiplicity_direct,
     local_degree,
-    local_degree_direct,
     local_degree_step,
     orbit_report,
 )

@@ -34,7 +34,12 @@ CHART_INDEX = {"z": 0, "w": 1, "t": 2}
 
 def _default_seed():
     env = os.environ.get("GREENP2_DEFAULT_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError("GREENP2_DEFAULT_SEED must be an integer") from None
 
 
 def _complex_pair(text):
@@ -388,8 +393,8 @@ def run(argv) -> int:
         if exc.code == 2:  # a usage error, reported by argparse; --help and --version exit 0
             return 1
         raise
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
+        seed = args.seed if args.seed is not None else _default_seed()
         return _COMMANDS[args.command](args, seed)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

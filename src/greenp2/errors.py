@@ -27,18 +27,13 @@ class IllConditioned(GreenP2Error):
 class DegenerateMap(GreenP2Error):
     """Map components share a nontrivial common zero; ``point`` is one of them."""
 
-    def __init__(self, message, point=None):
+    def __init__(self, message, point):
         super().__init__(message)
         self.point = point
 
 
 class DegreeMismatch(GreenP2Error):
     """Map components do not share a common degree."""
-
-
-class ComponentInvalid(GreenP2Error):
-    """A supplied critical component is not a line, is not a linear factor of the
-    Jacobian, or repeats another component."""
 
 
 class GenerationFailed(GreenP2Error):

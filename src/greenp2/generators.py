@@ -9,8 +9,6 @@ image triple is a closed form in the power sums of its roots' images.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DegenerateMap, GenerationFailed
@@ -50,8 +48,8 @@ def _random_two_vars(rng, d, missing):
     return p
 
 
-def _monomial(d, i, j, k, c=1.0):
-    return HomogPoly3.from_monomials(d, [(i, j, k, c)])
+def _monomial(d, i, j, k):
+    return HomogPoly3.from_monomials(d, [(i, j, k, 1.0)])
 
 
 def configuration_map(row_id: str, d: int, rng_seed: int) -> ProjMap:
@@ -118,17 +116,6 @@ def _build_row(row_id, d, rng):
 # -- Lattes quotient map -------------------------------------------------------------
 
 
-def lattes_rational_coeffs(d: int):
-    """Numerator and denominator of the degree-d Lattes map ((z - 2)/z)^d.
-
-    Returned as binary-form coefficient arrays n[m], q[m] for X^(deg-m) Y^m.
-    """
-    num = np.array([math.comb(d, m) * (-2.0) ** m for m in range(d + 1)], dtype=complex)
-    den = np.zeros(d + 1, dtype=complex)
-    den[0] = 1.0
-    return num, den
-
-
 def lattes_map(d: int = 2) -> ProjMap:
     """Symmetric-square quotient of the product Lattes map on the plane.
 
@@ -151,17 +138,3 @@ def lattes_map(d: int = 2) -> ProjMap:
     # 0.0 - c, not -c, which would write -0.0 entries
     return ProjMap.validate((t.power(d), HomogPoly3(d, 0.0 - p.coeffs), s.power(d)))
 
-
-def lattes_root_pair_image(d: int, z1: complex, z2: complex):
-    """Oracle: the quadratic coefficients of the image pair {R(z1), R(z2)}."""
-    num, den = lattes_rational_coeffs(d)
-
-    def ratio(z):
-        nv = sum(num[m] * z ** (d - m) for m in range(d + 1))
-        dv = sum(den[m] * z ** (d - m) for m in range(d + 1))
-        return nv, dv
-
-    n1, d1 = ratio(z1)
-    n2, d2 = ratio(z2)
-    # (d1 X - n1 Y)(d2 X - n2 Y) up to scale
-    return np.array([d1 * d2, -(d1 * n2 + d2 * n1), n1 * n2], dtype=complex)

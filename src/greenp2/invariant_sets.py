@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComponentInvalid
 from .maps import ProjMap, ProjPoint, _unit_phase, once_per_map
 from .multiplicities import contraction_order, local_degree_step
 from .polys import HomogPoly3
@@ -52,22 +51,13 @@ class InvariantLine:
     residual: float
     multiplicity: int  # of the form as a factor of the lift Jacobian
 
-    def basis(self):
-        return _line_basis(self.form.coeffs)
-
-    def sample_points(self, count, seed=0):
-        rng = np.random.default_rng(seed)
-        b1, b2 = self.basis()
-        pars = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
-        return [ProjPoint(s * b1 + u * b2) for s, u in pars]
-
-    def contains(self, point: ProjPoint, tol=1e-6) -> bool:
-        return _on_line(self.form.coeffs, point, tol)
+    def contains(self, point: ProjPoint) -> bool:
+        return _on_line(self.form.coeffs, point)
 
 
-def _on_line(l, point: ProjPoint, tol=1e-6) -> bool:
+def _on_line(l, point: ProjPoint) -> bool:
     """Whether the point lies on the line {l = 0}, for unit coefficients l."""
-    return abs(np.dot(l, point.coords)) <= tol
+    return abs(np.dot(l, point.coords)) <= 1e-6
 
 
 def _line_basis(l):
@@ -137,50 +127,23 @@ def _pullback_fit(u, v, scale):
 # -- restriction of the map to a line ---------------------------------------------
 
 
-@dataclass
-class LineRestriction:
-    """Degree-d map from a line to a line as a pair of binary forms in (s, u)."""
-
-    num: np.ndarray  # coefficients, num[m] for s^(d-m) u^m
-    den: np.ndarray
-    basis: tuple  # of the source line
-    residual: float
-
-    @property
-    def degree(self):
-        return len(self.num) - 1
-
-    def apply(self, pair):
-        s, u = pair
-        d = self.degree
-        pows = np.array([s ** (d - m) * u**m for m in range(d + 1)])
-        return _p1_normalize((self.num @ pows, self.den @ pows))
-
-
-def line_restriction(f: ProjMap, source, target=None) -> LineRestriction:
-    """F from the line {source = 0} to the line {target = 0}, by default the same
-    line, in the bases of ``_line_basis``; both lines are coefficient vectors."""
+def _line_restriction(f: ProjMap, source, target):
+    """F from the line {source = 0} to the line {target = 0}, both coefficient
+    vectors, as (num, den, basis): binary forms in (s, u), num[m] the
+    coefficient of s^(d-m) u^m, in the ``_line_basis`` bases of the two lines,
+    and the source line's basis."""
     b1, b2 = _line_basis(source)
     d = f.degree
     npts = d + 2
     theta = np.exp(2j * np.pi * np.arange(npts) / npts)
     pts = b1[None, :] + theta[:, None] * b2[None, :]
     images = f.lift(pts)  # (npts, 3)
-    basis_mat = np.stack(_line_basis(source if target is None else target), axis=1)  # (3, 2)
-    coords, res, *_ = np.linalg.lstsq(basis_mat, images.T, rcond=None)
-    normal_res = float(
-        np.max(np.linalg.norm(images.T - basis_mat @ coords, axis=0))
-        / max(1.0, float(np.max(np.abs(images))))
-    )
+    basis_mat = np.stack(_line_basis(target), axis=1)  # (3, 2)
+    coords, *_ = np.linalg.lstsq(basis_mat, images.T, rcond=None)
     # values at [1:theta] of the two binary forms; coefficients via DFT
     num = np.fft.fft(coords[0])[: d + 1] / npts
     den = np.fft.fft(coords[1])[: d + 1] / npts
-    return LineRestriction(num, den, (b1, b2), normal_res)
-
-
-def _p1_normalize(pair):
-    v = _unit_phase(np.array(pair, dtype=complex))
-    return (complex(v[0]), complex(v[1]))
+    return num, den, (b1, b2)
 
 
 def _wronskian_points(f: ProjMap, pairs):
@@ -193,17 +156,17 @@ def _wronskian_points(f: ProjMap, pairs):
     its (d - 2)-th derivative.  [0:1] is the root of the degree drop.
     """
     d = f.degree
-    rests = [line_restriction(f, source, target) for source, target in pairs]
+    rests = [_line_restriction(f, source, target) for source, target in pairs]
     m = np.arange(1, d + 1)  # num' has coefficients m num[m] at u^(m - 1)
     wrons = []
-    for r in rests:
-        w = np.convolve(m * r.num[1:], r.den) - np.convolve(r.num, m * r.den[1:])
+    for num, den, _ in rests:
+        w = np.convolve(m * num[1:], den) - np.convolve(num, m * den[1:])
         wrons.append(strip_trailing(w[: 2 * d - 1]))  # its u^(2d - 1) terms cancel
     found = roots_batch([np.polyder(w[::-1], d - 2)[::-1] for w in wrons])
     return [
         ProjPoint(x)
-        for r, w, rr in zip(rests, wrons, found)
-        for x, _ in _probe_points(2 * d - 2, w, w, *r.basis, (d - 2,), [rr])
+        for (_, _, basis), w, rr in zip(rests, wrons, found)
+        for x, _ in _probe_points(2 * d - 2, w, w, *basis, (d - 2,), [rr])
     ]
 
 
@@ -407,26 +370,21 @@ def _deflate(p, b1, b2, factors):
     return strip_trailing(np.polydiv(p[::-1], np.poly(roots))[0][::-1])
 
 
-def transition_matrix(f: ProjMap, components=None) -> TransitionMatrix:
+def transition_matrix(f: ProjMap) -> TransitionMatrix:
     """Pullback exponents of critical components, with Perron-Frobenius data.
 
-    The components are linear factors of the lift Jacobian, by default all of
-    them.  t[i, j] is the order of l_j as a factor of l_i o F: in the frame of
+    The components are the linear factors of the lift Jacobian.  t[i, j] is
+    the order of l_j as a factor of l_i o F: in the frame of
     {l_j = 0} (``_frame_coeffs``), the lowest power of the normal coordinate
     with a coefficient above 1e-8 of the largest of l_i o F.  Column j takes
     one lift of F, on the frame's grid.
     """
-    factors = detect_linear_critical_components(f)
-    if components is None:
-        components = factors
-    else:
-        components = list(components)
-        factors = _supplied_factors(factors, components)
+    components = detect_linear_critical_components(f)
     k = len(components)
     if k == 0:
         return TransitionMatrix([], np.zeros((0, 0), dtype=int), 0.0, np.zeros(0))
 
-    coeffs = np.stack([form.coeffs for form in factors])
+    coeffs = np.stack([form.coeffs for form in components])
     t = np.zeros((k, k), dtype=int)
     for j, ell in enumerate(coeffs):
         C = np.abs(_frame_coeffs(lambda x: f.lift(x) @ coeffs.T, ell, f.degree)[1])
@@ -434,28 +392,6 @@ def transition_matrix(f: ProjMap, components=None) -> TransitionMatrix:
         t[:, j] = np.argmax(big.any(axis=1), axis=1)
     rho, perron = _perron(t)
     return TransitionMatrix(components, t, rho, perron)
-
-
-def _supplied_factors(factors, components):
-    """The linear factor of the Jacobian that each supplied component is.
-
-    A component must be a line within 1e-5 of a factor, once both are
-    canonical, and no two components may be the same factor.  A vanishing test
-    would not do: the Jacobian stays below its tolerance along lines up to
-    about (1e-7)^(1/m) from an m-fold factor.
-    """
-    matched = []
-    for comp in components:
-        if comp.degree != 1 or not comp.coeffs.any():
-            raise ComponentInvalid(f"{comp.to_string()} is not a line")
-        c = _factor_coeffs(comp.coeffs)
-        near = [o for o in factors if np.linalg.norm(c - o.coeffs) <= 1e-5]
-        if not near:
-            raise ComponentInvalid(f"{comp.to_string()} does not divide the Jacobian")
-        if any(near[0] is o for o in matched):
-            raise ComponentInvalid(f"{comp.to_string()} repeats a component")
-        matched.append(near[0])
-    return matched
 
 
 def _perron(t: np.ndarray):

@@ -35,6 +35,14 @@ def dump_map_json(f: ProjMap, metadata: dict | None = None) -> str:
     return json.dumps(map_to_dict(f, metadata), sort_keys=True, indent=2) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def map_from_dict(obj) -> ProjMap:
     if not isinstance(obj, dict):
         raise ParseError("map file must be a JSON object")
@@ -44,28 +52,32 @@ def map_from_dict(obj) -> ProjMap:
     if obj.get("schema") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema {obj.get('schema')!r}; expected {SCHEMA_VERSION}")
     try:
-        degree = int(obj["degree"])
+        degree = obj["degree"]
         raw_comps = obj["components"]
     except KeyError as exc:
         raise ParseError(f"missing required field {exc.args[0]!r}") from exc
-    if not isinstance(raw_comps, list) or len(raw_comps) != 3:
+    if not _is_int(degree):
+        raise ParseError(f"degree must be an integer, not {degree!r}")
+    if not isinstance(obj.get("metadata", {}), dict):
+        raise ParseError("metadata must be a JSON object")
+    if not isinstance(raw_comps, list) or len(raw_comps) != 3 or not all(isinstance(c, list) for c in raw_comps):
         raise ParseError("components must be a list of exactly three monomial lists")
     comps = []
     for ci, entries in enumerate(raw_comps):
         poly = HomogPoly3(degree)
         for mi, entry in enumerate(entries):
-            if len(entry) != 5:
-                raise ParseError(
-                    f"component {ci}, monomial {mi}: expected [i, j, k, re, im]"
-                )
+            where = f"component {ci}, monomial {mi}"
+            if not isinstance(entry, list) or len(entry) != 5:
+                raise ParseError(f"{where}: expected [i, j, k, re, im]")
             i, j, k, re, im = entry
+            if not (_is_int(i) and _is_int(j) and _is_int(k)):
+                raise ParseError(f"{where}: exponents {[i, j, k]!r} are not all integers")
             if i < 0 or j < 0 or k < 0 or i + j + k != degree:
-                raise ParseError(
-                    f"component {ci}, monomial {mi}: exponents ({i},{j},{k}) "
-                    f"do not sum to degree {degree}"
-                )
+                raise ParseError(f"{where}: exponents ({i},{j},{k}) do not sum to degree {degree}")
+            if not (_is_real(re) and _is_real(im)):
+                raise ParseError(f"{where}: coefficient {[re, im]!r} is not two numbers")
             if not (np.isfinite(re) and np.isfinite(im)):
-                raise ParseError(f"component {ci}, monomial {mi}: non-finite coefficient")
+                raise ParseError(f"{where}: non-finite coefficient")
             poly = poly + HomogPoly3.from_monomials(degree, [(i, j, k, complex(re, im))])
         comps.append(poly)
     return ProjMap.validate(tuple(comps))

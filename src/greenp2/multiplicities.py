@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import OrderExceedsTruncation
 from .maps import ProjMap, ProjPoint
-from .polys import jacobian_det, sylvester_matrix
+from .polys import sylvester_matrix
 from .series import (
     AffineSeries2,
     compose_poly_series,
@@ -89,7 +89,7 @@ def _escalate(f: ProjMap, p: ProjPoint, n: int, what: str, attempt):
     raise OrderExceedsTruncation(f"{what} at {p} exceeds truncation cap: {last}")
 
 
-def orbit_chart_series(f: ProjMap, p: ProjPoint, n: int, trunc: int, chart_override=None):
+def orbit_chart_series(f: ProjMap, p: ProjPoint, n: int, trunc: int):
     """Taylor series at p of the chart representations of f^j for j = 0..n.
 
     Returns (points, charts, series) where series[j] is a pair of
@@ -98,13 +98,10 @@ def orbit_chart_series(f: ProjMap, p: ProjPoint, n: int, trunc: int, chart_overr
     """
     points = f.orbit(p, n)
     charts = [pt.chart() for pt in points]
-    if chart_override:
-        for j, c in chart_override.items():
-            charts[j] = c
     c0 = points[0].chart_coords(charts[0])
-    s1 = AffineSeries2.constant(c0[0], trunc, base_point=c0)
+    s1 = AffineSeries2.constant(c0[0], trunc)
     s1.coeffs[1, 0] = 1.0
-    s2 = AffineSeries2.constant(c0[1], trunc, base_point=c0)
+    s2 = AffineSeries2.constant(c0[1], trunc)
     s2.coeffs[0, 1] = 1.0
     series = [(s1, s2)]
     for j in range(n):
@@ -149,12 +146,12 @@ def _jacobian_term(f: ProjMap, pair, chart: int) -> int:
     return _series_order(comp, float(np.max(np.abs(shifted))))
 
 
-def _series_reads(f: ProjMap, p: ProjPoint, ks, terms, n: int, what: str, chart_override=None):
+def _series_reads(f: ProjMap, p: ProjPoint, ks, terms, n: int, what: str):
     """Contraction orders of f^k at p for k in ks, and ord_p(Jf o f^i) for i in
     terms, from one orbit series at truncations that grow until all are read."""
 
     def attempt(trunc):
-        _, charts, series = orbit_chart_series(f, p, max([*ks, *terms]), trunc, chart_override)
+        _, charts, series = orbit_chart_series(f, p, max([*ks, *terms]), trunc)
         return (
             [_pair_contraction(series[k]) for k in ks],
             [_jacobian_term(f, series[i], charts[i]) for i in terms],
@@ -163,7 +160,7 @@ def _series_reads(f: ProjMap, p: ProjPoint, ks, terms, n: int, what: str, chart_
     return _escalate(f, p, n, what, attempt)
 
 
-def jacobian_multiplicity(f: ProjMap, p: ProjPoint, n: int, chart_override=None) -> int:
+def jacobian_multiplicity(f: ProjMap, p: ProjPoint, n: int) -> int:
     """Vanishing order of the Jacobian of the n-th iterate at p."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -171,13 +168,13 @@ def jacobian_multiplicity(f: ProjMap, p: ProjPoint, n: int, chart_override=None)
     terms = [orbit.jacobian_term(j) for j in range(n)]
     open_terms = [j for j, t in enumerate(terms) if t is None]
     if open_terms:
-        read = _series_reads(f, p, [], open_terms, n, "jacobian order", chart_override)[1]
+        read = _series_reads(f, p, [], open_terms, n, "jacobian order")[1]
         for j, t in zip(open_terms, read):
             terms[j] = t
     return sum(terms)
 
 
-def contraction_order(f: ProjMap, p: ProjPoint, n: int, chart_override=None) -> int:
+def contraction_order(f: ProjMap, p: ProjPoint, n: int) -> int:
     """Lowest Taylor degree of the n-th iterate at p (min over components).
 
     Where the tangent cones along the orbit leave it open, the truncation of
@@ -188,7 +185,7 @@ def contraction_order(f: ProjMap, p: ProjPoint, n: int, chart_override=None) -> 
         raise ValueError("n must be >= 1")
     c = _Orbit(f, f.orbit(p, n - 1)).contraction(0, n)
     if c is None:
-        c = _series_reads(f, p, [n], [], n, "contraction order", chart_override)[0][0]
+        c = _series_reads(f, p, [n], [], n, "contraction order")[0][0]
     return c
 
 
@@ -226,7 +223,7 @@ def local_degree(f: ProjMap, p: ProjPoint, n: int) -> int:
 def local_degree_step(f: ProjMap, q: ProjPoint) -> int:
     """Degree of the germ of f at q, the local intersection number of f - f(q):
     1 at a regular point, c^2 at a finite tangent cone of degree c, and the
-    Hilbert-Samuel count of ``local_degree_direct`` elsewhere."""
+    Hilbert-Samuel count of its germs (``series.local_multiplicity``) elsewhere."""
     return _Orbit(f, [q]).degree(0)
 
 
@@ -480,7 +477,7 @@ def inequality_report(report: MultiplicityReport, d: int) -> dict:
     return verdicts
 
 
-# -- direct routes on composed lifts (independent of the orbit machinery) --------
+# -- Taylor orders, and the germs of an iterate -----------------------------------
 
 
 def _significant_order(series, weights=(1, 1)):
@@ -509,17 +506,6 @@ def _poly_taylor_order(poly, chart, center, trunc) -> int:
     return _significant_order(recenter_taylor(poly, chart, center, trunc))
 
 
-def jacobian_multiplicity_direct(f: ProjMap, p: ProjPoint, n: int) -> int:
-    """Vanishing order at p of the Jacobian of the composed lift F^n."""
-    JG = jacobian_det(f.iterate_lift(n))
-    chart = p.chart()
-    center = p.chart_coords(chart)
-    return _escalate(
-        f, p, n, "composed jacobian order",
-        lambda trunc: _poly_taylor_order(JG, chart, center, trunc),
-    )
-
-
 def iterate_numerators(f: ProjMap, p: ProjPoint, n: int):
     """Cross numerators G_j * q_piv - q_j * G_piv of the n-th iterate at q = f^n(p).
 
@@ -534,21 +520,6 @@ def iterate_numerators(f: ProjMap, p: ProjPoint, n: int):
         for j in range(3)
         if j != pivot
     ]
-
-
-def contraction_order_direct(f: ProjMap, p: ProjPoint, n: int) -> int:
-    nums = iterate_numerators(f, p, n)
-    chart = p.chart()
-    center = p.chart_coords(chart)
-    return _escalate(
-        f, p, n, "composed contraction order",
-        lambda trunc: min(_poly_taylor_order(h, chart, center, trunc) for h in nums),
-    )
-
-
-def local_degree_direct(f: ProjMap, p: ProjPoint, n: int) -> int:
-    """Local degree of the n-th iterate as a local intersection number at p."""
-    return local_multiplicity(*_iterate_germs(f, p, n))
 
 
 def _iterate_germs(f: ProjMap, p: ProjPoint, n: int):

@@ -58,7 +58,6 @@ class KiselmanEstimate:
     point: tuple
     weights: tuple
     slope: float
-    r_grid: np.ndarray
     fit_residual: float
 
 
@@ -177,11 +176,10 @@ def equidist_distance(
     samples: int,
     seed: int,
     tol: float = 1e-6,
-    clip: float = CLIP_FLOOR,
 ) -> EquidistReport:
     """Per-iterate L1 distance between pullback potentials and the Green function.
 
-    Sample values with potential below -clip are excluded from the mean and
+    Sample values with potential below -CLIP_FLOOR are excluded from the mean and
     reported in clip_fraction (the potential has log poles on the curve).
     """
     if n_max < 0:
@@ -200,7 +198,7 @@ def equidist_distance(
     for n in range(n_max + 1):
         vals = np.maximum(absphi[n], 1e-300)
         vn = (np.log(vals) + k * a[n]) / (k * d**n)
-        keep = vn > -clip
+        keep = vn > -CLIP_FLOOR
         diffs = np.abs(vn[keep] - g[keep])
         rows.append(
             EquidistRow(
@@ -230,43 +228,33 @@ def _slope_fit_weighted(logr, vals):
     return _slope_fit(logr[order], vals[order])
 
 
-def default_r_grid():
-    return np.geomspace(2.0**-4, 2.0**-14, 11)
+#: the radii of a sup fit, which drops the largest
+_R_GRID = np.geomspace(2.0**-4, 2.0**-14, 11)
+_R_GRID.flags.writeable = False
+#: sample points per radius of a sup fit
+_SUP_SAMPLES = 64
 
 
-def _radius_grid(r_grid):
-    """The radii of a sup fit: ``default_r_grid()``, or ``r_grid`` if it holds at
-    least 5 distinct positive radii; the fit drops the largest, so fewer leave it
-    too few points to test its residual."""
-    r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or len(np.unique(r_grid)) < 5 or np.any(r_grid <= 0):
-        raise ValueError("need at least 5 distinct positive radii")
-    return r_grid
-
-
-def lelong_estimate(u, p, r_grid=None, samples: int = 64, seed: int = 73) -> float:
+def lelong_estimate(u, p, seed: int = 73) -> float:
     """Logarithmic pole order of the potential u at the chart point p.
 
     Fits sup-over-sphere values of u against log r; raises FitUnstable when
     the linear fit residual exceeds 0.1 or is not a number.
     """
-    r_grid = _radius_grid(r_grid)
     rng = rng_from(seed)
     p = np.asarray(p, dtype=complex)
     _require_finite("point", p)
     sups = []
-    for r in r_grid:
-        sphere = sphere_shell(samples, 2, rng)
+    for r in _R_GRID:
+        sphere = sphere_shell(_SUP_SAMPLES, 2, rng)
         sups.append(float(np.max(u(p[None, :] + r * sphere))))
-    slope, resid = _slope_fit_weighted(np.log(r_grid), np.array(sups))
+    slope, resid = _slope_fit_weighted(np.log(_R_GRID), np.array(sups))
     if not resid <= 0.1:
         raise FitUnstable(f"sup fit residual {resid:.3f} over the radius grid")
     return slope
 
 
-def kiselman_estimate(
-    u, p, weights, r_grid=None, samples: int = 64, seed: int = 74
-) -> KiselmanEstimate:
+def kiselman_estimate(u, p, weights, seed: int = 74) -> KiselmanEstimate:
     """Directional (weighted-polydisk) density of u at p with the given weights.
 
     Raises FitUnstable when the fit residual exceeds 0.1 max(1, |slope|) or is
@@ -276,22 +264,21 @@ def kiselman_estimate(
     _require_finite("weights", (a1, a2))
     if a1 <= 0 or a2 <= 0:
         raise ValueError("weights must be positive")
-    r_grid = _radius_grid(r_grid)
     rng = rng_from(seed)
     p = np.asarray(p, dtype=complex)
     _require_finite("point", p)
     sups = []
-    for r in r_grid:
+    for r in _R_GRID:
         radii = (r ** (1.0 / a1), r ** (1.0 / a2))
-        pts = torus_points(samples, p, radii, rng)
+        pts = torus_points(_SUP_SAMPLES, p, radii, rng)
         sups.append(float(np.max(u(pts))))
-    slope, resid = _slope_fit_weighted(np.log(r_grid), a1 * a2 * np.array(sups))
+    slope, resid = _slope_fit_weighted(np.log(_R_GRID), a1 * a2 * np.array(sups))
     if not resid <= 0.1 * max(1.0, abs(slope)):
         raise FitUnstable(f"weighted sup fit residual {resid:.3f}")
-    return KiselmanEstimate(tuple(p), (a1, a2), slope, r_grid, resid)
+    return KiselmanEstimate(tuple(p), (a1, a2), slope, resid)
 
 
-def kiselman_decay_scan(u, line_points, alpha_grid, r_grid=None, samples: int = 64):
+def kiselman_decay_scan(u, line_points, alpha_grid):
     """Sup over line points of the weighted density, per weight in the grid.
 
     For a potential whose current puts no mass on the line, the table must
@@ -301,7 +288,7 @@ def kiselman_decay_scan(u, line_points, alpha_grid, r_grid=None, samples: int = 
     for alpha in alpha_grid:
         worst = 0.0
         for p in line_points:
-            est = kiselman_estimate(u, p, (alpha, 1.0), r_grid=r_grid, samples=samples)
+            est = kiselman_estimate(u, p, (alpha, 1.0))
             worst = max(worst, est.slope)
         table.append((float(alpha), worst))
     return table
@@ -329,28 +316,28 @@ class VolumeDecayReport:
     seed: int
 
 
-def volume_decay(
-    f: ProjMap, ball, n: int, samples: int, seed: int = 76, grid: int = 16
-) -> VolumeDecayReport:
+#: cells per real axis of the occupancy grid, which has _GRID^4 cells
+_GRID = 16
+
+
+def volume_decay(f: ProjMap, ball, n: int, samples: int, seed: int = 76) -> VolumeDecayReport:
     """Jacobian-integral lower-bound proxy and grid-occupancy image volume.
 
     The integral d^{-2n} * int |J f^n|^2 over the ball is estimated in the
     normalized study metric; the occupancy estimate bins forward images of
-    the ball in the chart of the image centroid, on a grid of grid^4 cells.
+    the ball in the chart of the image centroid, on a grid of 16^4 cells.
     For n >= 1 it equals ``volume_sweep(f, ball, n, ...)[n - 1]`` field for field.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     _require_power(f, 2 * n, f"n = {n}")  # the Jacobian bound divides by d^2n
-    log_lift_norms, X = _ball_lift(ball, samples, seed, grid)
+    log_lift_norms, X = _ball_lift(ball, samples, seed)
     *_, state = _orbit_log_jacobian(f, X, n)
-    return _volume_report(f, ball, n, samples, seed, grid, log_lift_norms, *state)
+    return _volume_report(f, ball, n, samples, seed, log_lift_norms, *state)
 
 
-def volume_sweep(
-    f: ProjMap, ball, n_max: int, samples: int, seed: int = 76, grid: int = 16
-) -> list:
-    """``[volume_decay(f, ball, n, samples, seed, grid) for n in 1..n_max]``.
+def volume_sweep(f: ProjMap, ball, n_max: int, samples: int, seed: int = 76) -> list:
+    """``[volume_decay(f, ball, n, samples, seed) for n in 1..n_max]``.
 
     One ball draw, one chart lift and one walk of n_max Jacobian steps serve
     every n, where the per-n calls walk n_max (n_max + 1) / 2 steps.
@@ -358,16 +345,16 @@ def volume_sweep(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     _require_power(f, 2 * n_max, f"n_max = {n_max}")
-    log_lift_norms, X = _ball_lift(ball, samples, seed, grid)
+    log_lift_norms, X = _ball_lift(ball, samples, seed)
     steps = _orbit_log_jacobian(f, X, n_max)
     next(steps)  # step 0
     return [
-        _volume_report(f, ball, n, samples, seed, grid, log_lift_norms, *state)
+        _volume_report(f, ball, n, samples, seed, log_lift_norms, *state)
         for n, state in enumerate(steps, 1)
     ]
 
 
-def _ball_lift(ball, samples, seed, grid):
+def _ball_lift(ball, samples, seed):
     """(log norms, unit rows) of the chart lifts of the ball's seeded samples."""
     chart, center, radius = ball
     if samples < 2:
@@ -378,12 +365,10 @@ def _ball_lift(ball, samples, seed, grid):
     _require_finite("center", center)
     if chart not in (0, 1, 2):
         raise ValueError(f"chart must be 0, 1 or 2, not {chart!r}")
-    if not isinstance(grid, (int, np.integer)) or grid < 1:
-        raise ValueError(f"grid must be a positive integer, not {grid!r}")
     return _unit_rows(_chart_lift(ball_points(samples, center, radius, seed), chart))
 
 
-def _volume_report(f, ball, n, samples, seed, grid, log_lift_norms, logdet, a_n, Y):
+def _volume_report(f, ball, n, samples, seed, log_lift_norms, logdet, a_n, Y):
     """The report of volume_decay at step n, from the Jacobian walk's state there."""
     radius = ball[2]
     Dn = f.degree**n
@@ -410,7 +395,7 @@ def _volume_report(f, ball, n, samples, seed, grid, log_lift_norms, logdet, a_n,
     jac_bound = float(np.mean(vals) * factor)
     jac_stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)) * factor)
 
-    occupancy, cells = _grid_occupancy(img, grid)
+    occupancy, cells = _grid_occupancy(img, _GRID)
     return VolumeDecayReport(n, jac_bound, jac_stderr, occupancy, cells, samples, seed)
 
 

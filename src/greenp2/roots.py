@@ -47,12 +47,12 @@ class RootResult:
         return sum(c.multiplicity for c in self.clusters)
 
 
-def strip_trailing(coeffs, rel_tol=_EPS_STRIP):
+def strip_trailing(coeffs):
     c = np.asarray(coeffs, dtype=complex).ravel()
     norm = float(np.max(np.abs(c))) if c.size else 0.0
     if norm == 0.0:
         return np.zeros(1, dtype=complex)
-    keep = np.nonzero(np.abs(c) > rel_tol * norm)[0]
+    keep = np.nonzero(np.abs(c) > _EPS_STRIP * norm)[0]
     return c[: keep[-1] + 1]
 
 

@@ -14,14 +14,14 @@ import numpy as np
 
 from .errors import IllConditioned, OrderExceedsTruncation, PositiveDimensional
 
-#: default relative tolerance for treating a coefficient as zero
+#: relative tolerance for treating a coefficient as zero
 EPS_COEF = 1e-9
 
 
 class AffineSeries2:
-    __slots__ = ("trunc", "coeffs", "base_point")
+    __slots__ = ("trunc", "coeffs")
 
-    def __init__(self, trunc: int, coeffs=None, base_point=(0.0, 0.0)):
+    def __init__(self, trunc: int, coeffs=None):
         if trunc < 0:
             raise ValueError("truncation degree must be non-negative")
         self.trunc = int(trunc)
@@ -34,18 +34,17 @@ class AffineSeries2:
             m = min(n, c.shape[0]), min(n, c.shape[1])
             self.coeffs[: m[0], : m[1]] = c[: m[0], : m[1]]
             self.coeffs[self.total_degrees() > self.trunc] = 0.0
-        self.base_point = (complex(base_point[0]), complex(base_point[1]))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, trunc, base_point=(0.0, 0.0)):
-        s = cls(trunc, base_point=base_point)
+    def constant(cls, value, trunc):
+        s = cls(trunc)
         s.coeffs[0, 0] = value
         return s
 
     def copy(self):
-        out = AffineSeries2(self.trunc, base_point=self.base_point)
+        out = AffineSeries2(self.trunc)
         out.coeffs[:] = self.coeffs
         return out
 
@@ -64,7 +63,7 @@ class AffineSeries2:
         return i[:, None] + i[None, :]
 
     def __repr__(self):
-        return f"AffineSeries2(trunc={self.trunc}, base={self.base_point})"
+        return f"AffineSeries2(trunc={self.trunc})"
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -74,7 +73,7 @@ class AffineSeries2:
             out.coeffs[0, 0] += other
             return out
         t = min(self.trunc, other.trunc)
-        out = AffineSeries2(t, base_point=self.base_point)
+        out = AffineSeries2(t)
         out.coeffs[:] = self.coeffs[: t + 1, : t + 1] + other.coeffs[: t + 1, : t + 1]
         return out
 
@@ -92,7 +91,7 @@ class AffineSeries2:
         if np.isscalar(other):
             return self.scale(other)
         t = min(self.trunc, other.trunc)
-        out = AffineSeries2(t, base_point=self.base_point)
+        out = AffineSeries2(t)
         out.coeffs[:] = _product(self.coeffs[: t + 1, : t + 1], other.coeffs[: t + 1, : t + 1])
         return out
 
@@ -107,9 +106,9 @@ class AffineSeries2:
         c = self.const
         if abs(c) < 1e-250:
             raise ZeroDivisionError("series has a vanishing constant term")
-        x = AffineSeries2.constant(1.0 / c, 0, self.base_point)
+        x = AffineSeries2.constant(1.0 / c, 0)
         while x.trunc < self.trunc:
-            x = AffineSeries2(min(2 * x.trunc + 1, self.trunc), x.coeffs, self.base_point)
+            x = AffineSeries2(min(2 * x.trunc + 1, self.trunc), x.coeffs)
             x = x * ((self * x).scale(-1.0) + 2.0)
         return x
 
@@ -181,15 +180,15 @@ def recenter_taylor(poly, chart: int, center, trunc: int) -> AffineSeries2:
     the truncation are exact apart from float rounding.
     """
     shifted = shift_bivariate(poly.dehomogenize(chart), center)
-    return AffineSeries2(trunc, coeffs=shifted, base_point=center)
+    return AffineSeries2(trunc, coeffs=shifted)
 
 
-def vanishing_order(s: AffineSeries2, rel_tol: float = EPS_COEF, abs_floor: float = 0.0, weights=(1, 1)):
+def vanishing_order(s: AffineSeries2, abs_floor: float = 0.0, weights=(1, 1)):
     """Least weighted degree a2 i + a1 j of a significant coefficient u^i v^j.
 
     A coefficient of total degree k is significant when it exceeds the
     optional absolute floor, supplied by callers who know the ambient scale,
-    and rel_tol times the largest coefficient of degree <= k (graded
+    and EPS_COEF times the largest coefficient of degree <= k (graded
     arithmetic keeps rounding noise graded too).  At the default weights
     (1, 1) this is the smallest total degree carrying a significant
     coefficient; at weights (a1, a2) it is the Kiselman number of log|s|
@@ -202,7 +201,7 @@ def vanishing_order(s: AffineSeries2, rel_tol: float = EPS_COEF, abs_floor: floa
         raise OrderExceedsTruncation(
             f"series is identically zero within truncation {s.trunc}"
         )
-    k, j = np.nonzero((g > rel_tol * running[:, None]) & (g > abs_floor))
+    k, j = np.nonzero((g > EPS_COEF * running[:, None]) & (g > abs_floor))
     if not k.size:
         raise OrderExceedsTruncation(
             f"all retained coefficients below tolerance at truncation {s.trunc}"
@@ -219,13 +218,12 @@ def compose_poly_series(P: np.ndarray, s1: AffineSeries2, s2: AffineSeries2) -> 
     n1 + n2 - 3 products for a P of shape (n1, n2).
     """
     trunc = min(s1.trunc, s2.trunc)
-    base = s1.base_point
     n1, n2 = P.shape
-    powers = [AffineSeries2.constant(1.0, trunc, base), AffineSeries2(trunc, s2.coeffs, base)]
+    powers = [AffineSeries2.constant(1.0, trunc), AffineSeries2(trunc, s2.coeffs)]
     while len(powers) < n2:
         powers.append(powers[-1] * s2)
     rows = np.tensordot(P, np.array([s.coeffs for s in powers[:n2]]), axes=(1, 0))
-    acc = AffineSeries2(trunc, rows[n1 - 1], base)
+    acc = AffineSeries2(trunc, rows[n1 - 1])
     for a in range(n1 - 2, -1, -1):
         acc = acc * s1
         acc.coeffs += rows[a]

@@ -116,11 +116,18 @@ def online_fixed_point():
     return f, p
 
 
+#: random lines sample_critical_points probes before it gives up
+PROBE_LINES = 100
+
+
 def sample_critical_points(f, count, rng):
-    """Machine-polished points on the critical curve, away from singular spots."""
+    """Machine-polished points on the critical curve, away from singular spots:
+    simple roots of the Jacobian on random lines.  Raises ValueError when
+    PROBE_LINES lines give fewer than count, as on a Jacobian whose factors all
+    repeat, which has no simple root on any line."""
     J = f.lift_jacobian
     pts = []
-    while len(pts) < count:
+    for _ in range(PROBE_LINES):
         b1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         b2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         b1, b2 = b1 / np.linalg.norm(b1), b2 / np.linalg.norm(b2)
@@ -128,6 +135,6 @@ def sample_critical_points(f, count, rng):
         for cl in roots_univariate(co).clusters:
             if cl.multiplicity == 1:
                 pts.append(ProjPoint(b1 + cl.root * b2))
-                if len(pts) >= count:
-                    break
-    return pts
+                if len(pts) == count:
+                    return pts
+    raise ValueError(f"{len(pts)} of {count} simple critical points on {PROBE_LINES} random lines")

@@ -11,7 +11,6 @@ decisions where the heuristics resolve them.
 
 import numpy as np
 
-from greenp2.errors import ComponentInvalid
 from greenp2.invariant_sets import detect_linear_critical_components
 from greenp2.maps import ProjPoint
 from greenp2.potentials import _slope_fit
@@ -93,7 +92,7 @@ def _component_sample(f, comp, others, seed):
             if best is None or clearance > best[0]:
                 best = (clearance, x)
     if best is None or best[0] < 1e-6:
-        raise ComponentInvalid("no clean smooth sample point on a component")
+        raise ValueError("no clean smooth sample point on a component")
     return best[1]
 
 
@@ -101,7 +100,7 @@ def _transverse_direction(comp, x):
     grad = np.array([comp.partial(v)(x.coords) for v in range(3)])
     n = np.linalg.norm(grad)
     if n < 1e-12:
-        raise ComponentInvalid("sample point is singular on the component")
+        raise ValueError("sample point is singular on the component")
     return np.conj(grad) / n
 
 

@@ -36,17 +36,16 @@ def product(x: AffineSeries2, y: AffineSeries2) -> AffineSeries2:
     """x * y from the full rectangle product, cut back to the triangle."""
     t = min(x.trunc, y.trunc)
     full = conv2(x.coeffs[: t + 1, : t + 1], y.coeffs[: t + 1, : t + 1])
-    return AffineSeries2(t, full[: t + 1, : t + 1], x.base_point)
+    return AffineSeries2(t, full[: t + 1, : t + 1])
 
 
 def compose_horner(P, s1: AffineSeries2, s2: AffineSeries2) -> AffineSeries2:
     """P(s1, s2) by nested Horner: n1 * n2 - 1 products."""
     trunc = min(s1.trunc, s2.trunc)
-    base = s1.base_point
     n1, n2 = P.shape
     acc = None
     for a in range(n1 - 1, -1, -1):
-        inner = AffineSeries2.constant(P[a, n2 - 1], trunc, base)
+        inner = AffineSeries2.constant(P[a, n2 - 1], trunc)
         for b in range(n2 - 2, -1, -1):
             inner = product(inner, s2)
             inner.coeffs[0, 0] += P[a, b]
@@ -59,8 +58,8 @@ def reciprocal_neumann(s: AffineSeries2) -> AffineSeries2:
     c = s.const
     g = s.scale(1.0 / c)
     g.coeffs[0, 0] = 0.0
-    out = AffineSeries2.constant(1.0, s.trunc, s.base_point)
-    term = AffineSeries2.constant(1.0, s.trunc, s.base_point)
+    out = AffineSeries2.constant(1.0, s.trunc)
+    term = AffineSeries2.constant(1.0, s.trunc)
     for _ in range(s.trunc):
         term = product(term, g).scale(-1.0)
         out = out + term
@@ -69,9 +68,9 @@ def reciprocal_neumann(s: AffineSeries2) -> AffineSeries2:
     return out.scale(1.0 / c)
 
 
-def vanishing_order_loop(s: AffineSeries2, rel_tol: float = EPS_COEF, abs_floor: float = 0.0) -> int:
+def vanishing_order_loop(s: AffineSeries2, abs_floor: float = 0.0) -> int:
     """Smallest total degree whose largest coefficient exceeds abs_floor and
-    rel_tol times the largest coefficient of degree <= it, one degree at a time."""
+    EPS_COEF times the largest coefficient of degree <= it, one degree at a time."""
     mags = np.abs(s.coeffs)
     deg = s.total_degrees()
     degmax = np.zeros(s.trunc + 1)
@@ -81,7 +80,7 @@ def vanishing_order_loop(s: AffineSeries2, rel_tol: float = EPS_COEF, abs_floor:
     running = np.maximum.accumulate(degmax)
     if running[-1] <= 0.0:
         raise OrderExceedsTruncation(f"series is identically zero within truncation {s.trunc}")
-    alive = (degmax > rel_tol * running) & (degmax > abs_floor)
+    alive = (degmax > EPS_COEF * running) & (degmax > abs_floor)
     if not alive.any():
         raise OrderExceedsTruncation(f"all retained coefficients below tolerance at truncation {s.trunc}")
     return int(np.argmax(alive))

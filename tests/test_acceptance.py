@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from conftest import random_valid_map, sample_critical_points
+from direct_reference import jacobian_multiplicity_direct, local_degree_direct
 from greenp2 import (
     CONFIGURATION_IDS,
     ProjPoint,
@@ -27,9 +28,7 @@ from greenp2 import (
 from greenp2.multiplicities import (
     contraction_order,
     jacobian_multiplicity,
-    jacobian_multiplicity_direct,
     local_degree,
-    local_degree_direct,
     local_degree_step,
     orbit_report,
 )

@@ -67,6 +67,39 @@ class TestMapFiles:
         with pytest.raises(ParseError):
             map_from_dict({"schema": 99, "degree": 2, "components": [[], [], []]})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("entry", 7, "component 1, monomial 0: expected [i, j, k, re, im]"),
+            ("entry", [0.5, 0.5, 1, 1.0, 0.0], "component 1, monomial 0: exponents [0.5, 0.5, 1] are not all integers"),
+            ("entry", ["2", 0, 0, 1.0, 0.0], "component 1, monomial 0: exponents ['2', 0, 0] are not all integers"),
+            ("entry", [True, 1, 0, 1.0, 0.0], "component 1, monomial 0: exponents [True, 1, 0] are not all integers"),
+            ("entry", [2, 0, 0, "1", 0.0], "component 1, monomial 0: coefficient ['1', 0.0] is not two numbers"),
+            ("degree", 2.7, "degree must be an integer, not 2.7"),
+            ("degree", True, "degree must be an integer, not True"),
+            ("metadata", [], "metadata must be a JSON object"),
+            ("metadata", "note", "metadata must be a JSON object"),
+        ],
+        ids=["entry-not-a-list", "fractional-exponents", "string-exponent", "boolean-exponent",
+             "string-coefficient", "fractional-degree", "boolean-degree", "metadata-list", "metadata-string"],
+    )
+    def test_malformed_input_refused(self, tmp_path, capsys, field, value, message):
+        """Each raised a stray TypeError or IndexError, or was read as another map."""
+        obj = json.loads(dump_map_json(configuration_map("3-3", 2, 0)))
+        if field == "entry":
+            obj["components"][1][0] = value
+        else:
+            obj[field] = value
+        with pytest.raises(ParseError) as info:
+            map_from_dict(obj)
+        assert str(info.value) == message
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(obj))
+        code = run(["classify", "--map", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestCommands:
     def test_classify_power_fixture(self, power_path, capsys):
@@ -355,3 +388,11 @@ class TestPipelineAndDeterminism:
         )
         assert a.stdout != b.stdout
         assert json.loads(b.stdout)["seed"] == 99
+
+    def test_default_seed_env_must_be_an_integer(self, power_path, monkeypatch, capsys):
+        """A value int() cannot read gave a ValueError traceback."""
+        monkeypatch.setenv("GREENP2_DEFAULT_SEED", "abc")
+        code = run(["green", "--map", power_path, "--samples", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: GREENP2_DEFAULT_SEED must be an integer\n"

@@ -11,7 +11,7 @@ from greenp2 import (
     invariant_points,
     lattes_map,
 )
-from greenp2.generators import lattes_root_pair_image
+from lattes_reference import lattes_root_pair_image
 
 
 class TestConfigurationMaps:

@@ -9,18 +9,17 @@ import greenp2.multiplicities
 import greenp2.roots
 from conftest import cold, conjugate, conjugated_row, make_map, random_valid_map, structure_maps
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, lattes_map, parse_poly
-from greenp2.errors import ComponentInvalid
 from greenp2.invariant_sets import (
     _canonical_coeffs,
     _cross,
-    _supplied_factors,
+    _line_basis,
+    _line_restriction,
     classify,
     detect_linear_critical_components,
     exceptional_sets,
     invariant_lines,
     invariant_orbits,
     invariant_points,
-    line_restriction,
     transition_matrix,
 )
 from greenp2.multiplicities import jacobian_multiplicity, local_degree_step
@@ -39,6 +38,14 @@ def test_cross_matches_numpy():
 
 def line_names(lines):
     return sorted(L.form.to_string() for L in lines)
+
+
+def line_points(line, count, seed):
+    """Seeded random points of an invariant line, spanned by its ``_line_basis``."""
+    rng = np.random.default_rng(seed)
+    b1, b2 = _line_basis(line.form.coeffs)
+    pars = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+    return [ProjPoint(s * b1 + u * b2) for s, u in pars]
 
 
 def row_map(row, d, seed=1000):
@@ -104,7 +111,7 @@ class TestInvariantLines:
     def test_total_invariance_of_fibers(self, worked_map):
         """All four preimages of a point on the line stay on the line."""
         line = invariant_lines(worked_map)[0]
-        for p in line.sample_points(20, seed=5):
+        for p in line_points(line, 20, seed=5):
             fib = worked_map.preimages(p)
             assert fib.complete
             for x, _ in fib.preimages:
@@ -113,7 +120,7 @@ class TestInvariantLines:
     def test_jacobian_order_along_lines(self, power_map):
         """Generic points of a totally invariant line carry order d - 1."""
         for line in invariant_lines(power_map):
-            for p in line.sample_points(5, seed=3):
+            for p in line_points(line, 5, seed=3):
                 assert jacobian_multiplicity(power_map, p, 1) == 1
 
 
@@ -156,21 +163,23 @@ class TestLinearFactors:
 
 class TestLineRestriction:
     def test_worked_map_swap(self, worked_map):
+        """[2zt+w^2 : z^2 : t^2] restricted to {t = 0}, spanned by [1:0:0] and
+        [0:1:0], is [s:u] -> [u^2:s^2]: it swaps the corners."""
         line = invariant_lines(worked_map)[0]
-        rest = line_restriction(worked_map, line.form.coeffs)
-        assert rest.residual < 1e-9
-        # restriction of [2zt+w^2 : z^2 : t^2] to {t=0} swaps the corners
-        img = rest.apply((1.0, 0.0))
-        assert abs(img[0]) < 1e-9 and abs(abs(img[1]) - 1.0) < 1e-9
+        num, den, basis = _line_restriction(worked_map, line.form.coeffs, line.form.coeffs)
+        assert np.allclose(np.abs(basis), [[1, 0, 0], [0, 1, 0]])
+        scale = abs(den[0])
+        assert scale > 0.5
+        assert np.allclose(np.abs([num[0], num[1], den[1], den[2]]), 0.0, atol=1e-9 * scale)
+        assert abs(abs(num[2]) - scale) < 1e-9 * scale
 
     def test_line_onto_another(self):
         """(w^2 : z^2 : t^2) maps {z = 0}, spanned by [0:1:0] and [0:0:1], onto
         {w = 0}, spanned by [1:0:0] and [0:0:1], as [1:u] -> [1:u^2]."""
         f = make_map("w^2", "z^2", "t^2")
-        rest = line_restriction(f, np.eye(3)[0], np.eye(3)[1])
-        assert rest.residual < 1e-12
-        img = rest.apply((1.0, 0.5))
-        assert abs(img[1] / img[0] - 0.25) < 1e-12
+        num, den, _ = _line_restriction(f, np.eye(3)[0], np.eye(3)[1])
+        assert np.allclose(num, [1, 0, 0], atol=1e-12)
+        assert np.allclose(den, [0, 0, 1], atol=1e-12)
 
 
 class TestInvariantPoints:
@@ -289,72 +298,6 @@ class TestTransitionMatrix:
         assert np.array_equal(tm.matrix, 2 * np.eye(3, dtype=int))
         assert tm.rho == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(tm.perron, [1.0, 1.0, 1.0])
-
-    def test_user_supplied_component(self):
-        rng = np.random.default_rng(4)
-        from greenp2.polys import HomogPoly3
-        from greenp2 import ProjMap
-
-        while True:
-            P = HomogPoly3(2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-            Q = HomogPoly3(2, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-            try:
-                f = ProjMap.validate([P, Q, parse_poly("t^2")])
-                break
-            except Exception:
-                continue
-        tm = transition_matrix(f, components=[parse_poly("t")])
-        assert tm.matrix.tolist() == [[2]]
-        assert tm.rho == pytest.approx(2.0, abs=1e-9)
-
-    def test_two_supplied_components_on_structured_row(self):
-        from greenp2 import configuration_map
-
-        f = configuration_map("2-2", 2, rng_seed=6)  # [z^2+tP : w^2 : t^2]
-        tm = transition_matrix(f, components=[parse_poly("w"), parse_poly("t")])
-        assert tm.matrix.tolist() == [[2, 0], [0, 2]]
-        assert tm.rho == pytest.approx(2.0, abs=1e-9)
-
-    def test_invalid_component_rejected(self, power_map):
-        from greenp2.errors import ComponentInvalid
-
-        with pytest.raises(ComponentInvalid):
-            transition_matrix(power_map, components=[parse_poly("z+w+t")])
-
-    def test_offset_lines_rejected(self):
-        """w is a 4-fold factor here: the Jacobian is below 1e-7 of its norm along
-        lines up to about (1e-7)^(1/4) from w, yet these are not factors."""
-        f = row_map("2-2", 5)
-        for eps in (1e-3, 3e-3, 1e-2):
-            with pytest.raises(ComponentInvalid):
-                transition_matrix(f, components=[parse_poly(f"w + {eps}*z + {eps}*t")])
-
-    @pytest.mark.parametrize("row, d", [("2-2", 5), ("1-1-free", 3), ("0-1", 3)])
-    def test_rescaled_factors_accepted(self, row, d):
-        f = row_map(row, d)
-        factors = detect_linear_critical_components(f)
-        for s in (2.5, 0.3 - 1.5j):
-            matched = _supplied_factors(factors, [c.scale(s) for c in factors])
-            assert all(a is b for a, b in zip(matched, factors))
-        tm = transition_matrix(f, components=[c.scale(0.3 - 1.5j) for c in factors])
-        assert tm.matrix.tolist() == transition_matrix(f).matrix.tolist()
-
-    @pytest.mark.parametrize("names", [["w", "w"], ["w", "t", "2*t"]])
-    def test_repeated_components_rejected(self, names):
-        f = configuration_map("2-2", 2, rng_seed=6)
-        with pytest.raises(ComponentInvalid, match="repeats"):
-            transition_matrix(f, components=[parse_poly(s) for s in names])
-
-    def test_product_of_factor_lines_rejected(self):
-        """w t divides the Jacobian, but the components are its linear factors;
-        the zero form and a constant are no lines either."""
-        from greenp2.polys import HomogPoly3
-
-        f = configuration_map("2-2", 2, rng_seed=6)
-        assert transition_matrix(f, components=[parse_poly("w"), parse_poly("t")]).matrix.shape == (2, 2)
-        for comp in (parse_poly("w*t"), HomogPoly3(1, np.zeros(3)), HomogPoly3(0, [1.0])):
-            with pytest.raises(ComponentInvalid, match="not a line"):
-                transition_matrix(f, components=[comp])
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_rows_beyond_d3(self, d):
@@ -589,7 +532,7 @@ class TestPerMapMemo:
     @pytest.mark.parametrize("row, d", [("worked", 2), ("2-3", 3), ("1-1-free", 5)])
     def test_transition_matrix_reuses_the_memo(self, monkeypatch, worked_map, row, d):
         """Once exceptional_sets has run, the matrix needs no root finding and one
-        lift of F per component, for the detected and for supplied components."""
+        lift of F per component."""
         f = cold(worked_map) if row == "worked" else row_map(row, d)
         exceptional_sets(f)
         calls = {"roots": 0, "lifts": 0}
@@ -608,8 +551,7 @@ class TestPerMapMemo:
         monkeypatch.setattr(ProjMap, "lift", counted_lift)
         comps = transition_matrix(f).components
         assert len(comps) >= 2
-        transition_matrix(f, components=[c.scale(2.5) for c in comps[:2]])
-        assert calls == {"roots": 0, "lifts": len(comps) + 2}
+        assert calls == {"roots": 0, "lifts": len(comps)}
 
     def test_returned_lists_are_fresh(self, worked_map):
         """Changing a returned list leaves the memo, and so later results, as they were."""

@@ -10,6 +10,7 @@ from conftest import (
     random_valid_map,
     sample_critical_points,
 )
+from direct_reference import contraction_order_direct, jacobian_multiplicity_direct, local_degree_direct
 from exact_reference import jacobian_orders
 from greenp2 import (
     CONFIGURATION_IDS,
@@ -24,13 +25,10 @@ from greenp2.errors import IllConditioned, OrderExceedsTruncation
 from greenp2.multiplicities import (
     _pair_contraction,
     contraction_order,
-    contraction_order_direct,
     inequality_report,
     jacobian_multiplicity,
-    jacobian_multiplicity_direct,
     kiselman_number,
     local_degree,
-    local_degree_direct,
     local_degree_step,
     orbit_report,
 )
@@ -41,6 +39,8 @@ from ladder_reference import ladder_local_degree
 CORNER = ProjPoint([0, 0, 1])
 DIAG = ProjPoint([1, 1, 1])
 EDGE = ProjPoint([1, 0, 1])
+#: the z <-> t swap, which fixes EDGE: chart 0 of the swapped map is chart 2 of the map
+SWAP = np.eye(3)[[2, 1, 0]]
 
 
 class TestJacobianOrder:
@@ -60,21 +60,23 @@ class TestJacobianOrder:
     def test_chart_independence(self, worked_map, monkeypatch):
         """The worked map moved by a real rotation A: at its fixed point A^-1[0:0:1] =
         [1:0:1], visible in charts 0 and 2, the exact rules leave the term of f(p) open,
-        so each chart reaches the series; both read the worked map's 5 at [0:0:1]."""
+        so the series is read there, in chart 0.  The swap conjugate reads the same
+        point in its chart 0, which is chart 2 of f; both read the worked map's 5 at
+        [0:0:1]."""
         c = 2**-0.5
         f = conjugate(worked_map, np.array([[c, 0, -c], [0, 1, 0], [c, 0, c]]))
         read = multiplicities._series_reads
         charts = []
 
-        def spy(f, p, ks, terms, n, what, chart_override=None):
-            charts.append(chart_override)
-            return read(f, p, ks, terms, n, what, chart_override)
+        def spy(f, p, ks, terms, n, what):
+            charts.append(p.chart())
+            return read(f, p, ks, terms, n, what)
 
         monkeypatch.setattr(multiplicities, "_series_reads", spy)
-        a = jacobian_multiplicity(f, EDGE, 2, chart_override={0: 0})
-        b = jacobian_multiplicity(f, EDGE, 2, chart_override={0: 2})
+        a = jacobian_multiplicity(f, EDGE, 2)
+        b = jacobian_multiplicity(conjugate(f, SWAP), EDGE, 2)
         assert a == b == 5
-        assert charts == [{0: 0}, {0: 2}]
+        assert charts == [0, 0]
 
 
 class TestContractionOrder:
@@ -88,9 +90,10 @@ class TestContractionOrder:
         assert [contraction_order(worked_map, CORNER, n) for n in range(1, 6)] == [1] * 5
 
     def test_chart_independence(self, power_map):
-        """The edge point is visible in two charts; the order must agree."""
-        a = contraction_order(power_map, EDGE, 2, chart_override={0: 0})
-        b = contraction_order(power_map, EDGE, 2, chart_override={0: 2})
+        """The edge point is visible in two charts; the order must agree.  The swap
+        conjugate reads it in its chart 0, which is chart 2 of the map."""
+        a = contraction_order(power_map, EDGE, 2)
+        b = contraction_order(conjugate(power_map, SWAP), EDGE, 2)
         assert a == b == 1
 
     def test_pair_decided_by_one_component(self):
@@ -108,9 +111,9 @@ class TestContractionOrder:
         build = multiplicities.orbit_chart_series
         truncs = []
 
-        def counted(f, p, n, trunc, chart_override=None):
+        def counted(f, p, n, trunc):
             truncs.append(trunc)
-            return build(f, p, n, trunc, chart_override)
+            return build(f, p, n, trunc)
 
         monkeypatch.setattr(multiplicities, "orbit_chart_series", counted)
         assert contraction_order(f, p, 3) == contraction_order_direct(f, p, 3) == 1
@@ -341,6 +344,14 @@ def _simple_critical_points(f, lines, rng):
 
 def _point_entries(f):
     return [key for key in f._memo if key[0] is multiplicities._Orbit]
+
+
+def test_sample_critical_points_fails_fast():
+    """J = c (zwt)^2 on the 3-3 row has no simple root on any line: the sampler
+    gives up after its probe lines, where it looped forever."""
+    f = configuration_map("3-3", 3, 1000)
+    with pytest.raises(ValueError, match="0 of 1 simple critical points on 100 random lines"):
+        sample_critical_points(f, 1, np.random.default_rng(0))
 
 
 class TestPointMemo:

@@ -294,17 +294,6 @@ class TestKiselman:
             ki = kiselman_estimate(u, (0, 0), weights).slope
             assert ki >= min(weights) * le - 0.05
 
-    @pytest.mark.parametrize("r_grid", [[1e-2, 1e-3], [1e-2, 1e-3, 1e-4, 1e-5], [1e-2] * 6, [1e-2, 1e-3, 1e-4, 1e-5, 0.0]])
-    @pytest.mark.parametrize("estimate", [
-        lambda u, r_grid: kiselman_estimate(u, (0, 0), (1.0, 1.0), r_grid=r_grid),
-        lambda u, r_grid: lelong_estimate(u, (0, 0), r_grid=r_grid),
-    ], ids=["kiselman", "lelong"])
-    def test_refuses_a_short_radius_grid(self, estimate, r_grid):
-        """The fit drops the largest radius: two radii left a one-point fit with residual 0,
-        which read 0.979 for log|z|, whose density is 1."""
-        with pytest.raises(ValueError, match="5 distinct positive radii"):
-            estimate(u_log_abs(0), r_grid)
-
 
 class TestDecayScan:
     LINE = [(0.0, 0.0), (0.0, 0.4), (0.0, -0.25 + 0.3j)]
@@ -406,23 +395,14 @@ class TestVolumeDecay:
         with pytest.raises(ValueError, match=message):
             volume_sweep(power_map, ball, n_max, samples, seed=9)
 
-    @pytest.mark.parametrize("grid", [0, -3, 2.5, 16.0, None])
-    def test_refuses_bad_grid(self, power_map, grid):
-        """A grid of no cells gave an infinite occupancy, a negative one a single cell."""
-        ball = (2, (0.4, 0.3), 0.1)
-        with pytest.raises(ValueError, match="grid must be a positive integer"):
-            volume_decay(power_map, ball, 2, 500, seed=9, grid=grid)
-        with pytest.raises(ValueError, match="grid must be a positive integer"):
-            volume_sweep(power_map, ball, 2, 500, seed=9, grid=grid)
-
     @pytest.mark.parametrize("row", CONFIGURATION_IDS)
     @pytest.mark.parametrize("d", [2, 3])
     def test_sweep_equals_per_n_reports(self, d, row):
         f = configuration_map(row, d, 1000)
         for chart in (0, 1, 2):
             ball = (chart, (0.4, 0.3), 0.1)
-            sweep = volume_sweep(f, ball, 4, 800, seed=11, grid=8)
-            assert sweep == [volume_decay(f, ball, n, 800, seed=11, grid=8) for n in (1, 2, 3, 4)]
+            sweep = volume_sweep(f, ball, 4, 800, seed=11)
+            assert sweep == [volume_decay(f, ball, n, 800, seed=11) for n in (1, 2, 3, 4)]
 
     def test_slower_rate_off_exceptional_set(self, lattes):
         reps = [
