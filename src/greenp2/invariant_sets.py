@@ -133,16 +133,8 @@ def _line_restriction(f: ProjMap, source, target):
     coefficient of s^(d-m) u^m, in the ``_line_basis`` bases of the two lines,
     and the source line's basis."""
     b1, b2 = _line_basis(source)
-    d = f.degree
-    npts = d + 2
-    theta = np.exp(2j * np.pi * np.arange(npts) / npts)
-    pts = b1[None, :] + theta[:, None] * b2[None, :]
-    images = f.lift(pts)  # (npts, 3)
-    basis_mat = np.stack(_line_basis(target), axis=1)  # (3, 2)
-    coords, *_ = np.linalg.lstsq(basis_mat, images.T, rcond=None)
-    # values at [1:theta] of the two binary forms; coefficients via DFT
-    num = np.fft.fft(coords[0])[: d + 1] / npts
-    den = np.fft.fft(coords[1])[: d + 1] / npts
+    images = np.array([c.restrict_line(b1, b2) for c in f.components])  # (3, d + 1)
+    (num, den), *_ = np.linalg.lstsq(np.stack(_line_basis(target), axis=1), images, rcond=None)
     return num, den, (b1, b2)
 
 

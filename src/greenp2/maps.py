@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartUndefined, DegenerateMap, DegreeMismatch, IllConditioned
-from .polys import HomogPoly3, compose_map, jacobian_det, monomial_table, n_monomials
+from .polys import HomogPoly3, jacobian_det, monomial_table, n_monomials
 from .systems import macaulay_matrix, null_space_points, residuals, solve_projective
 
 #: least singular value of the row-normalised Macaulay matrix of a nondegenerate map
@@ -21,24 +20,20 @@ _POLISH_STEPS = 6
 
 
 def once_per_map(build):
-    """Decorate build(f, *args) to run once per ProjMap instance f and args.
+    """Decorate build(f), which depends on the map alone, to run once per ProjMap instance f.
 
-    The value is kept in ``f._memo``, so it lives and dies with f, and a fresh
-    ``ProjMap(f.components, f.nondegeneracy_residual)`` starts cold.  Keyword
-    arguments are bound to their positions, so ``f.iterate_lift(n=2)`` and
-    ``f.iterate_lift(2)`` share one entry.  Sequence values are kept as tuples
-    (callers hand out fresh lists), and the arrays of the points and forms in
-    them are made read-only, so no caller can change the memo in place.
+    The value is kept in ``f._memo`` under the key ``(build,)``, so it lives
+    and dies with f, and a fresh ``ProjMap(f.components,
+    f.nondegeneracy_residual)`` starts cold.  Sequence values are kept as
+    tuples (callers hand out fresh lists), and the arrays of the points and
+    forms in them are made read-only, so no caller can change the memo in place.
     """
-    signature = inspect.signature(build)
+    key = (build,)
 
     @functools.wraps(build)
-    def memoised(f, *args, **kwargs):
-        if kwargs:
-            args = signature.bind(f, *args, **kwargs).args[1:]
-        key = (build, *args)
+    def memoised(f):
         if key not in f._memo:
-            f._memo[key] = _read_only(build(f, *args))
+            f._memo[key] = _read_only(build(f))
         return f._memo[key]
 
     return memoised
@@ -102,6 +97,8 @@ class ProjPoint:
         return int(np.argmax(np.abs(self.coords)))
 
     def chart_coords(self, chart: int):
+        if chart not in (0, 1, 2):
+            raise ValueError(f"chart must be 0, 1 or 2, not {chart!r}")
         c = self.coords[chart]
         if abs(c) < 1e-12:
             raise ChartUndefined(f"point {self} has no coordinates in chart {chart}")
@@ -146,8 +143,8 @@ class ProjMap:
         self.components = tuple(components)
         self.degree = self.components[0].degree
         self.nondegeneracy_residual = float(nondegeneracy_residual)
-        # what depends on the map alone (once_per_map), and the reads at a critical
-        # point keyed by the point's coordinates (multiplicities._Orbit)
+        # what depends on the map alone, keyed (build,) (once_per_map), and the reads
+        # at a critical point, keyed (_Orbit, coordinates) (multiplicities._Orbit)
         self._memo = {}
 
     # -- construction ----------------------------------------------------
@@ -210,13 +207,6 @@ class ProjMap:
     @once_per_map
     def lift_jacobian(self) -> HomogPoly3:
         return jacobian_det(self.components)
-
-    @once_per_map
-    def iterate_lift(self, n: int):
-        """Components of the n-fold composed lift."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return self.components if n == 1 else compose_map(self.iterate_lift(n - 1), self.components)
 
     def lognorm_sup(self) -> float:
         """A bound on |log ||F|| | on the unit sphere from the 2-norms |F_i| and validate's sigma.

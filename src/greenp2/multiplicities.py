@@ -15,9 +15,11 @@ Jacobian equals the dehomogenized lift Jacobian divided by d * F_c^3 for the
 target chart coordinate F_c, and the divisor is a local unit, so vanishing
 orders are chart independent.
 
-Along an orbit p = q_0, ..., q_(N-1) each term is first decided by exact
-identities (``_Orbit``), and truncated series are built only for the terms
-these leave open; only those terms set the truncation.  The reads at a
+Every read goes through ``_Orbit``, which works from the germs of f at the
+orbit points p = q_0, ..., q_(N-1) and never composes an iterate F^n.  Each
+term is first decided by exact identities, and truncated series are built
+only for the terms these leave open, one series per orbit point
+(``_Orbit.reads``); only those terms set the truncation.  The reads at a
 critical point that these identities use (ord(J), the germs with their
 orders and cone, and e) are kept per map in ``f._memo``, keyed by the point's
 coordinates, so each is made once per map and point.
@@ -46,6 +48,7 @@ coordinates, so each is made once per map and point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,27 +69,6 @@ from .series import (
 _CRITICAL_TOL = 1e-6
 #: least ratio of the extreme singular values of the Sylvester matrix of a finite tangent cone
 _CONE_TOL = 1e-6
-
-
-def _trunc_schedule(d: int, n: int):
-    trunc = max(2 * d, 4)
-    cap = max(4 * d**n, trunc)
-    while True:
-        yield trunc
-        if trunc >= cap:
-            return
-        trunc = min(2 * trunc, cap)
-
-
-def _escalate(f: ProjMap, p: ProjPoint, n: int, what: str, attempt):
-    """attempt(trunc) at growing truncations until one has enough terms."""
-    last = None
-    for trunc in _trunc_schedule(f.degree, n):
-        try:
-            return attempt(trunc)
-        except OrderExceedsTruncation as exc:
-            last = exc
-    raise OrderExceedsTruncation(f"{what} at {p} exceeds truncation cap: {last}")
 
 
 def orbit_chart_series(f: ProjMap, p: ProjPoint, n: int, trunc: int):
@@ -148,30 +130,27 @@ def _jacobian_term(f: ProjMap, pair, chart: int) -> int:
 
 def _series_reads(f: ProjMap, p: ProjPoint, ks, terms, n: int, what: str):
     """Contraction orders of f^k at p for k in ks, and ord_p(Jf o f^i) for i in
-    terms, from one orbit series at truncations that grow until all are read."""
-
-    def attempt(trunc):
-        _, charts, series = orbit_chart_series(f, p, max([*ks, *terms]), trunc)
-        return (
-            [_pair_contraction(series[k]) for k in ks],
-            [_jacobian_term(f, series[i], charts[i]) for i in terms],
-        )
-
-    return _escalate(f, p, n, what, attempt)
+    terms, from one orbit series.  The truncation starts at max(2d, 4) and
+    doubles, up to max(4 d^n, 2d, 4), until all are read."""
+    trunc = max(2 * f.degree, 4)
+    cap = max(4 * f.degree**n, trunc)
+    while True:
+        try:
+            _, charts, series = orbit_chart_series(f, p, max([*ks, *terms]), trunc)
+            return (
+                [_pair_contraction(series[k]) for k in ks],
+                [_jacobian_term(f, series[i], charts[i]) for i in terms],
+            )
+        except OrderExceedsTruncation as exc:
+            if trunc >= cap:
+                raise OrderExceedsTruncation(f"{what} at {p} exceeds truncation cap: {exc}") from None
+            trunc = min(2 * trunc, cap)
 
 
 def jacobian_multiplicity(f: ProjMap, p: ProjPoint, n: int) -> int:
     """Vanishing order of the Jacobian of the n-th iterate at p."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    orbit = _Orbit(f, f.orbit(p, n - 1))
-    terms = [orbit.jacobian_term(j) for j in range(n)]
-    open_terms = [j for j, t in enumerate(terms) if t is None]
-    if open_terms:
-        read = _series_reads(f, p, [], open_terms, n, "jacobian order")[1]
-        for j, t in zip(open_terms, read):
-            terms[j] = t
-    return sum(terms)
+    orbit = _Orbit(f, p, n)
+    return sum(orbit.reads(terms=range(orbit.n))[1])
 
 
 def contraction_order(f: ProjMap, p: ProjPoint, n: int) -> int:
@@ -181,12 +160,8 @@ def contraction_order(f: ProjMap, p: ProjPoint, n: int) -> int:
     the series grows only until one component's order is decided, since the
     other's order then exceeds it or is decided too (`_pair_contraction`).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    c = _Orbit(f, f.orbit(p, n - 1)).contraction(0, n)
-    if c is None:
-        c = _series_reads(f, p, [n], [], n, "contraction order")[0][0]
-    return c
+    orbit = _Orbit(f, p, n)
+    return orbit.reads(pairs=[(0, orbit.n)])[0][0, orbit.n]
 
 
 def _pair_contraction(pair) -> int:
@@ -214,25 +189,24 @@ def _pair_contraction(pair) -> int:
 
 def local_degree(f: ProjMap, p: ProjPoint, n: int) -> int:
     """Local topological degree of the n-th iterate at p (product along orbit)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    orbit = _Orbit(f, f.orbit(p, n - 1))
-    return math.prod(orbit.degree(j) for j in range(n))
+    orbit = _Orbit(f, p, n)
+    return math.prod(orbit.degree(j) for j in range(orbit.n))
 
 
 def local_degree_step(f: ProjMap, q: ProjPoint) -> int:
     """Degree of the germ of f at q, the local intersection number of f - f(q):
     1 at a regular point, c^2 at a finite tangent cone of degree c, and the
     Hilbert-Samuel count of its germs (``series.local_multiplicity``) elsewhere."""
-    return _Orbit(f, [q]).degree(0)
+    return _Orbit(f, q, 1).degree(0)
 
 
 # -- exact reads along an orbit ----------------------------------------------------
 
 
 class _Orbit:
-    """The exact reads of the module docstring along the points q_0, ..., q_(N-1)
-    of an orbit of p; None marks what they leave open.
+    """The reads along the orbit q_0 = p, ..., q_(n-1) of p, the one entry of
+    every public read: the exact ones of the module docstring, None where they
+    leave a read open, and ``reads``, which takes the open ones from series.
 
     One evaluation of J at the points not yet known to be critical sorts out
     the regular ones.  At each other point ord(J), the germs with their
@@ -243,8 +217,14 @@ class _Orbit:
     so probing a map at many points does not grow it.
     """
 
-    def __init__(self, f: ProjMap, points):
-        self.f, self.points = f, points
+    def __init__(self, f: ProjMap, p: ProjPoint, n, name="n"):
+        """n, the number of steps, must be an integer >= 1; ``name`` names it in errors."""
+        if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, not {n!r}")
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1")
+        self.f, self.n = f, int(n)
+        self.points = points = f.orbit(p, self.n - 1)
         keys = [(_Orbit, q.coords.tobytes()) for q in points]
         self.memos = [f._memo.get(key) for key in keys]
         new = [i for i, memo in enumerate(self.memos) if memo is None]
@@ -267,11 +247,30 @@ class _Orbit:
         return self._kept(j, "germs", self._read_germs)
 
     def _read_germs(self, j):
-        germs = tuple(_iterate_germs(self.f, self.points[j], 1))
+        germs = tuple(_germs(self.f, self.points[j]))
         for g in germs:
             g.coeffs.flags.writeable = False  # shared by every later read at q_j
         orders = tuple(_germ_order(g) for g in germs)
         return germs, orders, _cone_degree(germs, orders)
+
+    def reads(self, pairs=(), terms=()):
+        """(contraction table on the (j, k) pairs, Jacobian terms j in terms).
+
+        What the exact reads leave open is read from one orbit series at each
+        point q_j with open reads, over the n - j steps left from q_j; when
+        nothing is open, nothing more is built.
+        """
+        jacobian = {i: self.jacobian_term(i) for i in terms}
+        table = {(j, k): self.contraction(j, k) for j, k in pairs}
+        if None in jacobian.values() or None in table.values():
+            for j, q in enumerate(self.points):
+                ks = [k for (i, k), c in table.items() if i == j and c is None]
+                js = [i for i, t in jacobian.items() if t is None] if j == 0 else []
+                if ks or js:
+                    orders, read = _series_reads(self.f, q, ks, js, self.n - j, f"series at orbit point {j}")
+                    table.update(((j, k), c) for k, c in zip(ks, orders))
+                    jacobian.update(zip(js, read))
+        return table, [jacobian[i] for i in terms]
 
     def cone_product(self, j, k):
         """c_j ... c_(j+k-1), with c = 1 at regular points, or None if one of the
@@ -313,7 +312,8 @@ class _Orbit:
         """ord_(q_j)(J), from J's Taylor expansion at q_j, which is exact."""
         f, q = self.f, self.points[j]
         chart = q.chart()
-        return _poly_taylor_order(f.lift_jacobian, chart, q.chart_coords(chart), 3 * (f.degree - 1) + 1)
+        expansion = recenter_taylor(f.lift_jacobian, chart, q.chart_coords(chart), 3 * (f.degree - 1) + 1)
+        return _significant_order(expansion)
 
     def _line_term(self, j, m):
         """sum m_i ord_p(l_i o F^j) over the factor lines through q_j, when their
@@ -340,7 +340,7 @@ class _Orbit:
 
 
 def _germ_order(germ):
-    """The germ's order by the significance rule of ``_poly_taylor_order``, None
+    """The germ's order by the significance rule of ``_significant_order``, None
     if no coefficient is significant."""
     try:
         return _significant_order(germ)
@@ -383,24 +383,10 @@ def orbit_report(f: ProjMap, p: ProjPoint, horizon: int) -> MultiplicityReport:
 
     The growth estimates are finite-horizon N-th roots, not certified limits.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    N = horizon
-    orbit = _Orbit(f, f.orbit(p, N - 1))
-    jac_terms = [orbit.jacobian_term(j) for j in range(N)]
-    contraction_table = {
-        (j, k): orbit.contraction(j, k) for j in range(N) for k in range(1, N - j + 1)
-    }
-    for j, q in enumerate(orbit.points):
-        ks = [k for k in range(1, N - j + 1) if contraction_table[(j, k)] is None]
-        terms = [i for i, t in enumerate(jac_terms) if t is None] if j == 0 else []
-        if not ks and not terms:
-            continue
-        orders, read = _series_reads(f, q, ks, terms, N - j, f"series at orbit point {j}")
-        contraction_table.update(((j, k), c) for k, c in zip(ks, orders))
-        for i, t in zip(terms, read):
-            jac_terms[i] = t
-
+    orbit = _Orbit(f, p, horizon, "horizon")
+    N = orbit.n
+    pairs = [(j, k) for j in range(N) for k in range(1, N - j + 1)]
+    contraction_table, jac_terms = orbit.reads(pairs, range(N))
     degree_steps = [orbit.degree(j) for j in range(N)]
 
     jacobian_orders = [int(v) for v in np.cumsum(jac_terms)]
@@ -440,14 +426,8 @@ def inequality_report(report: MultiplicityReport, d: int) -> dict:
     def mu_range(j, k):
         return sum(report.jacobian_terms[j : j + k])
 
-    def e_range(j, k):
-        out = 1
-        for s in report.degree_steps[j : j + k]:
-            out *= s
-        return out
-
     pairs = [(n, k) for n in range(1, N) for k in range(1, N - n + 1)]
-    verdicts = {
+    return {
         "jacobian_between": bool(2 * (c1 - 1) <= mu1 <= 2 * (e1 - 1)),
         "contraction_sq_le_degree": bool(c1 * c1 <= e1),
         "jacobian_le_critical_degree": bool(0 <= mu1 <= 3 * (d - 1)),
@@ -460,7 +440,7 @@ def inequality_report(report: MultiplicityReport, d: int) -> dict:
         ),
         "degree_multiplicative": all(
             report.local_degrees[n + k - 1]
-            == report.local_degrees[n - 1] * e_range(n, k)
+            == report.local_degrees[n - 1] * math.prod(report.degree_steps[n : n + k])
             for n, k in pairs
         ),
         "contraction_supermultiplicative": all(
@@ -474,10 +454,9 @@ def inequality_report(report: MultiplicityReport, d: int) -> dict:
             for n, k in pairs
         ),
     }
-    return verdicts
 
 
-# -- Taylor orders, and the germs of an iterate -----------------------------------
+# -- Taylor orders, and the germs of f --------------------------------------------
 
 
 def _significant_order(series, weights=(1, 1)):
@@ -502,34 +481,18 @@ def kiselman_number(poly, chart: int, point, weights=(1.0, 1.0)) -> float:
     return float(_significant_order(recenter_taylor(poly, chart, point, poly.degree), (a1, a2)))
 
 
-def _poly_taylor_order(poly, chart, center, trunc) -> int:
-    return _significant_order(recenter_taylor(poly, chart, center, trunc))
-
-
-def iterate_numerators(f: ProjMap, p: ProjPoint, n: int):
-    """Cross numerators G_j * q_piv - q_j * G_piv of the n-th iterate at q = f^n(p).
-
-    They vanish at p and their vanishing orders read off the chart
-    representation of f^n minus its value (the denominator is a local unit).
-    """
-    G = f.iterate_lift(n)
-    q = f.orbit(p, n)[-1]
-    pivot = q.chart()
-    return [
-        G[j].scale(q.coords[pivot]) - G[pivot].scale(q.coords[j])
-        for j in range(3)
-        if j != pivot
-    ]
-
-
-def _iterate_germs(f: ProjMap, p: ProjPoint, n: int):
-    """The germs at p of the n-th iterate minus its value: ``iterate_numerators``
-    expanded at p, exact at truncation d^n, with the constant term zeroed."""
-    chart = p.chart()
+def _germs(f: ProjMap, p: ProjPoint):
+    """The germs at p of f minus its value: the cross numerators
+    F_j q_piv - q_j F_piv at q = f(p), which vanish at p, expanded at p to
+    degree d, which is exact, with the constant term zeroed."""
+    F, q = f.components, f.apply(p)
+    pivot, chart = q.chart(), p.chart()
     center = p.chart_coords(chart)
     germs = []
-    for h in iterate_numerators(f, p, n):
-        s = recenter_taylor(h, chart, center, f.degree**n)
-        s.coeffs[0, 0] = 0.0  # exact zero at the base point
-        germs.append(s)
+    for j in range(3):
+        if j != pivot:
+            numerator = F[j].scale(q.coords[pivot]) - F[pivot].scale(q.coords[j])
+            germ = recenter_taylor(numerator, chart, center, f.degree)
+            germ.coeffs[0, 0] = 0.0  # exact zero at the base point
+            germs.append(germ)
     return germs

@@ -270,6 +270,8 @@ class HomogPoly3:
         The two remaining variables keep their (z, w, t) order: chart 0 ->
         (w, t), chart 1 -> (z, t), chart 2 -> (z, w).
         """
+        if chart not in (0, 1, 2):
+            raise ValueError(f"chart must be 0, 1 or 2, not {chart!r}")
         d = self.degree
         out = np.zeros((d + 1, d + 1), dtype=complex)
         keep = [v for v in range(3) if v != chart]
@@ -348,11 +350,6 @@ def sylvester_matrix(a, b):
     for r in range(na):
         M[..., nb + r, r : r + nb + 1] = b[..., ::-1]
     return M
-
-
-def compose_map(outer, inner):
-    """Composition (outer o inner) of two triples of homogeneous forms."""
-    return tuple(p.compose(tuple(inner)) for p in outer)
 
 
 # -- expression parsing --------------------------------------------------------

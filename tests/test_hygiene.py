@@ -8,8 +8,10 @@ handler catches more than the package's own errors.  Dependency guard: the libra
 imports no third-party module but numpy.  Tooling guard: every function the benchmark
 tracer patches exists.  Cache guard: no function that takes a map carries a
 process-wide cache; per-map structure lives on the map instance, so it dies with the
-map and a cold copy recomputes it.  Memo-key guard: no key of a map's memo holds a
-point or an array, since an identity key keeps its object alive and misses equal ones.
+map and a cold copy recomputes it, and every function decorated with ``once_per_map``
+takes the map alone, since its memo key is the function.  Memo-key guard: no key of a map's memo holds
+a point or an array, since an identity key keeps its object alive and misses equal ones.
+Iterate guard: the orbit reads and the exceptional structure compose no forms.
 """
 
 import ast
@@ -21,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from greenp2 import ProjPoint, configuration_map, exceptional_sets, roots_univariate
+from greenp2 import ProjMap, ProjPoint, configuration_map, exceptional_sets, roots_univariate, transition_matrix
 from greenp2.multiplicities import contraction_order, jacobian_multiplicity, local_degree_step, orbit_report
+from greenp2.polys import HomogPoly3
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "greenp2"
@@ -270,6 +273,27 @@ def test_no_process_cache_on_map_functions():
     assert found == []
 
 
+def _once_per_map_arities(tree):
+    """(name, parameter count) of each function decorated with ``once_per_map``."""
+    return [
+        (node.name, len(node.args.posonlyargs + node.args.args + node.args.kwonlyargs)
+         + bool(node.args.vararg) + bool(node.args.kwarg))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(getattr(d, "id", getattr(d, "attr", None)) == "once_per_map" for d in node.decorator_list)
+    ]
+
+
+def test_once_per_map_functions_take_the_map_alone():
+    """The memo key of a ``once_per_map`` function is the function alone, so a
+    second parameter would get the value of the first call's arguments."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [(f"{path.name}:{name}", n) for name, n in _once_per_map_arities(ast.parse(path.read_text()))]
+    assert len(found) >= 5 and [entry for entry in found if entry[1] != 1] == []
+    assert _once_per_map_arities(ast.parse("@maps.once_per_map\ndef g(f, n=2): ...")) == [("g", 2)]
+
+
 def test_tracer_targets_resolve():
     """A renamed library function would otherwise break ``perfbench/run.py --trace 1``."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
@@ -301,8 +325,9 @@ def _key_parts(key):
         yield key
 
 
-def test_memo_keys_hold_values_not_objects():
-    f = configuration_map("1-1-incident", 3, 1000)
+def _read_orbits_and_structure(f):
+    """Horizon-3 reports at three fixed points, the exceptional sets, and the
+    criterion-03 triple at the roots of J on a seeded line."""
     rng = np.random.default_rng(3)
     for p, _ in f.fixed_points()[:3]:
         orbit_report(f, p, 3)
@@ -311,6 +336,30 @@ def test_memo_keys_hold_values_not_objects():
     for cl in roots_univariate(f.lift_jacobian.restrict_line(b1, b2)).clusters:
         p = ProjPoint(b1 + cl.root * b2)
         jacobian_multiplicity(f, p, 1), contraction_order(f, p, 1), local_degree_step(f, p)
+
+
+def test_memo_keys_hold_values_not_objects():
+    f = configuration_map("1-1-incident", 3, 1000)
+    _read_orbits_and_structure(f)
     parts = [part for key in f._memo for part in _key_parts(key)]
     assert sum(isinstance(part, bytes) for part in parts) > 10
     assert [part for part in parts if isinstance(part, (ProjPoint, np.ndarray))] == []
+
+
+def test_no_composed_iterates(monkeypatch):
+    """The orbit reads work from the germs of f at each orbit point, and the
+    exceptional structure from f itself: on a cold map no form is composed."""
+    maps = [configuration_map(row, d, 1000) for row, d in (("1-1-incident", 3), ("2-3", 2), ("1-0", 2))]
+    calls = []
+    compose = HomogPoly3.compose
+
+    def counted(self, triple):
+        calls.append(self.degree)
+        return compose(self, triple)
+
+    monkeypatch.setattr(HomogPoly3, "compose", counted)
+    for f in maps:
+        f = ProjMap(f.components, f.nondegeneracy_residual)
+        _read_orbits_and_structure(f)
+        transition_matrix(f)
+    assert calls == []

@@ -426,23 +426,16 @@ class TestExactIntegers:
     replaced (``invariance_reference``) where those resolve them."""
 
     def test_no_fibre_solves(self, monkeypatch, power_map, worked_map):
-        """Nor any iterate lift: the points come from f itself.  iterate_lift(1),
-        the components of f, is what the local degree counts on.  Cold copies of
-        the session maps, whose memo earlier tests may have filled."""
+        """The points come from f itself.  Cold copies of the shared fixture maps,
+        whose memo earlier tests may have filled."""
         calls = []
-        preimages, iterate_lift = ProjMap.preimages, ProjMap.iterate_lift
+        preimages = ProjMap.preimages
 
         def counted_preimages(self, *args, **kwargs):
             calls.append("preimages")
             return preimages(self, *args, **kwargs)
 
-        def counted_iterate_lift(self, n):
-            if n > 1:
-                calls.append(f"iterate_lift({n})")
-            return iterate_lift(self, n)
-
         monkeypatch.setattr(ProjMap, "preimages", counted_preimages)
-        monkeypatch.setattr(ProjMap, "iterate_lift", counted_iterate_lift)
         for f in (cold(power_map), cold(worked_map), row_map("1-2", 2), row_map("2-3", 3)):
             exceptional_sets(f)
             invariant_points(f)
@@ -584,7 +577,6 @@ class TestPerMapMemo:
                 + [L.form.coeffs for L in exceptional_sets(f).e1_lines]
                 + [c.coeffs for c in detect_linear_critical_components(f)]
                 + [c.coeffs for c in transition_matrix(f).components]
-                + [c.coeffs for c in f.iterate_lift(2)]
                 + [f.lift_jacobian.coeffs]
                 + germs()
             )
@@ -592,7 +584,7 @@ class TestPerMapMemo:
         def germs():
             """The germs kept at the totally invariant points, which are critical."""
             points = [p for p, _ in exceptional_sets(f).e2_points]
-            return [g.coeffs for p in points for g in greenp2.multiplicities._Orbit(f, [p])._read(0)[0]]
+            return [g.coeffs for p in points for g in greenp2.multiplicities._Orbit(f, p, 1)._read(0)[0]]
 
         first = [a.tobytes() for a in arrays()]
         assert len(first) > 8 and len(germs()) >= 2
@@ -601,8 +593,3 @@ class TestPerMapMemo:
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2
         assert [a.tobytes() for a in arrays()] == first
-
-    def test_keyword_arguments_share_the_entry(self, worked_map):
-        f = cold(worked_map)
-        assert f.iterate_lift(n=2) is f.iterate_lift(2)
-        assert sorted(key[1:] for key in f._memo) == [(1,), (2,)]

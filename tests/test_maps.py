@@ -11,6 +11,7 @@ from conftest import (
     two_form_zeros,
     with_own_sigma,
 )
+from direct_reference import iterate_lift
 from greenp2 import CONFIGURATION_IDS, ProjMap, ProjPoint, configuration_map, lattes_map, maps, parse_poly, systems
 from greenp2.errors import ChartUndefined, DegenerateMap, DegreeMismatch, GreenP2Error
 from greenp2.multiplicities import local_degree_step, orbit_report
@@ -229,7 +230,7 @@ class TestFixedPoints:
                 e = f.degree**k
                 if e > 10:
                     break
-                g = with_own_sigma(f.iterate_lift(k))
+                g = with_own_sigma(iterate_lift(f, k))
                 fixed = g.fixed_points()
                 assert [m for _, m in fixed] == [1] * (e * e + e + 1)
                 assert max(g.apply(p).dist(p) for p, _ in fixed) < 1e-8

@@ -33,7 +33,7 @@ from greenp2.multiplicities import (
     orbit_report,
 )
 from greenp2.potentials import _chart_lift, kiselman_estimate
-from greenp2.series import AffineSeries2
+from greenp2.series import AffineSeries2, recenter_taylor
 from ladder_reference import ladder_local_degree
 
 CORNER = ProjPoint([0, 0, 1])
@@ -118,6 +118,20 @@ class TestContractionOrder:
         monkeypatch.setattr(multiplicities, "orbit_chart_series", counted)
         assert contraction_order(f, p, 3) == contraction_order_direct(f, p, 3) == 1
         assert truncs == [6]
+
+
+@pytest.mark.parametrize("read", [jacobian_multiplicity, contraction_order, local_degree, orbit_report])
+def test_step_count_must_be_an_integer(power_map, read):
+    """A float step count raised a stray TypeError from ``range`` and a bool gave
+    a report of horizon True; both are refused, and a numpy integer is read as
+    the integer it is."""
+    for n in (2.5, 2.0, True, np.bool_(True), "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            read(power_map, EDGE, n)
+    for n in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            read(power_map, EDGE, n)
+    assert repr(read(power_map, EDGE, np.int64(2))) == repr(read(power_map, EDGE, 2))
 
 
 class TestLocalDegree:
@@ -255,6 +269,21 @@ class TestKiselmanNumber:
         with pytest.raises(ValueError, match=message):
             kiselman_number(power_map.lift_jacobian, 2, point, weights)
 
+    @pytest.mark.parametrize("chart", [3, -1])
+    def test_refuses_a_chart_outside_0_1_2(self, power_map, chart):
+        """Such a chart was read as chart 2: ``dehomogenize`` kept all three
+        variables and read the first two, and ``chart_coords(-1)`` indexed the
+        coordinates from the end."""
+        J = power_map.lift_jacobian
+        reads = [
+            lambda: kiselman_number(J, chart, (0, 0)),
+            lambda: recenter_taylor(J, chart, (0, 0), J.degree),
+            lambda: ProjPoint([1, 2, 3]).chart_coords(chart),
+        ]
+        for read in reads:
+            with pytest.raises(ValueError, match="chart must be 0, 1 or 2"):
+                read()
+
 
 class TestCocycleLaws:
     """Exact integer laws with the left sides recomputed on composed lifts."""
@@ -360,7 +389,7 @@ class TestPointMemo:
     @pytest.fixture
     def spies(self, monkeypatch):
         calls = {"germs": 0, "counts": 0}
-        germs, count = multiplicities._iterate_germs, multiplicities.local_multiplicity
+        germs, count = multiplicities._germs, multiplicities.local_multiplicity
 
         def spy_germs(*args):
             calls["germs"] += 1
@@ -370,7 +399,7 @@ class TestPointMemo:
             calls["counts"] += 1
             return count(*args)
 
-        monkeypatch.setattr(multiplicities, "_iterate_germs", spy_germs)
+        monkeypatch.setattr(multiplicities, "_germs", spy_germs)
         monkeypatch.setattr(multiplicities, "local_multiplicity", spy_count)
         return calls
 
